@@ -42,9 +42,7 @@ from .machine import (
     LAZY,
     T3,
     T3C,
-    Instruction,
     RunResult,
-    decode_instruction,
     is_canonical,
     run,
     run_lazy_sampled,

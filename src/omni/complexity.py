@@ -21,15 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import machine
-from .coding import (  # noqa: F401  (re-exported: entropy ops live with this module)
-    NoiseModel,
-    ZeroProbabilityError,
-    arithmetic_roundtrip,
-    shannon_code_length,
-)
 from .enumeration import programs
-from .machine import to_ints, to_str
+from .machine import check_inputs, to_ints, to_str
 
 _WARMUP = 16  # steps before the loop detector engages
 
@@ -183,6 +176,7 @@ def shortest_program_upper_bound(
     """Length of the first program (shortlex) that outputs exactly s and
     halts within budget; k_hat is None when no program of length <= max_len
     qualifies."""
+    check_inputs(budget)
     target = tuple(to_ints(s))
     for prog in programs(max_len):
         if _matches(prog, target, budget):
@@ -194,6 +188,7 @@ def conditional_upper_bound(
     s: str, cond: str, max_len: int, budget: int
 ) -> ComplexityBound:
     """Same search under T3C with the conditional string on the aux tape."""
+    check_inputs(budget)
     target = tuple(to_ints(s))
     aux = tuple(to_ints(cond))
     for prog in programs(max_len):
@@ -281,6 +276,7 @@ def compressibility_census(
     """
     if n < 1 or c < 1:
         raise ValueError("n and c must be >= 1")
+    check_inputs(budget)
     from functools import partial
 
     from .workers import parallel_map

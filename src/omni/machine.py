@@ -35,6 +35,12 @@ Run modes:
             (or, for a fixed program string, out of symbols) gives status
             'budget' with the partial output.
 
+A lazy tape can also be source-fed: run_lazy_sampled reads a caller's
+symbol iterator one square at a time, and prior's Monte Carlo sampler fills
+squares from random bits.  Fixed, source-fed and sampled tapes all run
+through one interpreter core, _run_ints; a source that runs dry ends the
+tape like the end of a fixed program string.
+
 A program is *canonical* when its lazy-mode run halts having consumed
 exactly its own length.  Canonical programs are prefix-free by
 construction: a halting run never looks at squares past the ones it
@@ -43,7 +49,6 @@ consumed, so no proper extension can be canonical.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 SYMBOLS = "01,"
@@ -61,39 +66,6 @@ BUDGET = "budget"
 
 # opcode ids, laid out as 3 * first_symbol + second_symbol
 _OUT0, _OUT1, _OUTC, _INC, _DEC, _SKIPZ, _LOOP, _HALT, _MARK = range(9)
-
-
-class Instruction(enum.Enum):
-    OUT0 = "00"
-    OUT1 = "01"
-    OUTC = "0,"
-    INC = "10"
-    DEC = "11"
-    SKIPZ = "1,"
-    LOOP = ",0"
-    HALT = ",1"
-    MARK = ",,"
-
-
-_INSTRUCTION_BY_ID = [
-    Instruction.OUT0,
-    Instruction.OUT1,
-    Instruction.OUTC,
-    Instruction.INC,
-    Instruction.DEC,
-    Instruction.SKIPZ,
-    Instruction.LOOP,
-    Instruction.HALT,
-    Instruction.MARK,
-]
-
-
-def decode_instruction(first: str, second: str) -> Instruction:
-    """Decode a symbol pair.  Total: every pair maps to an instruction."""
-    try:
-        return _INSTRUCTION_BY_ID[3 * _IDX[first] + _IDX[second]]
-    except KeyError:
-        raise ValueError(f"not a symbol: {first!r}/{second!r}") from None
 
 
 @dataclass
@@ -136,12 +108,35 @@ def to_str(ints) -> str:
     return "".join(map(SYMBOLS.__getitem__, ints))
 
 
-def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None):
+def check_inputs(max_steps: int, *texts: str) -> None:
+    """The input rules every run obeys: a step budget of at least 1, and
+    texts (programs, aux tapes, targets) over the machine's symbols."""
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    for t in texts:
+        to_ints(t)
+
+
+def _extend(tape, upto, draw):
+    """Fill the tape with draw() blocks up to at least upto squares; a
+    source running dry (StopIteration) leaves it shorter.  New length."""
+    try:
+        while len(tape) < upto:
+            tape.extend(draw())
+    except StopIteration:
+        pass
+    return len(tape)
+
+
+def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
     """Core fetch-decode-execute loop on int symbol sequences.
 
     Returns (out_ints, halted, consumed, steps, truncated).  readaux=True
     gives T3C semantics for opcode ',,'.  out_cap stops output growth at
-    the cap (execution continues) and flips the truncated flag.
+    the cap (execution continues) and flips the truncated flag.  With
+    draw, prog is a list that grows by draw() blocks whenever the head
+    (a fetch or a SKIPZ) needs a square past its end, so each square is
+    filled on first visit; a StopIteration from draw ends the tape there.
     """
     n = len(prog)
     ip = 0
@@ -152,13 +147,15 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None):
     truncated = False
     out: list[int] = []
     while steps < max_steps:
-        if ip >= n:
-            # off the end of the given string: a halt in finite mode, out
-            # of tape (not a real halt) in lazy mode
-            return out, finite, consumed, steps, truncated
-        if ip == n - 1:
-            consumed = n  # the lone trailing symbol is consumed
-            return out, finite, consumed, steps, truncated
+        if ip >= n - 1:
+            if draw is not None:
+                n = _extend(prog, ip + 2, draw)
+            if ip >= n - 1:
+                # off the end of the tape: a halt in finite mode, out of
+                # tape (not a real halt) in lazy mode
+                if ip == n - 1:
+                    consumed = n  # the lone trailing symbol is consumed
+                return out, finite, consumed, steps, truncated
         op = prog[ip] * 3 + prog[ip + 1]
         ip += 2
         if ip > consumed:
@@ -177,6 +174,8 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None):
         elif op == _SKIPZ:
             if reg == 0:
                 ip += 2
+                if ip > n and draw is not None:
+                    n = _extend(prog, ip, draw)
                 c = ip if ip <= n else n
                 if c > consumed:
                     consumed = c
@@ -213,8 +212,7 @@ def run(
 
     pre: max_steps >= 1; aux is given exactly for variant T3C.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
+    check_inputs(max_steps)
     if mode not in (FINITE, LAZY):
         raise ValueError(f"unknown mode: {mode!r}")
     if variant == T3C:
@@ -268,51 +266,15 @@ def run_lazy_sampled(source, max_steps: int) -> RunResult:
     realizable halting program.  A finite source running dry counts as
     starvation, same as a fixed program read past its end in lazy mode.
     """
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    draw = source.__next__ if hasattr(source, "__next__") else source
+    check_inputs(max_steps)
+    next_symbol = source.__next__ if hasattr(source, "__next__") else source
     tape: list[int] = []
-    fill = tape.append
-
-    def need(upto: int) -> bool:
-        while len(tape) < upto:
-            try:
-                fill(_IDX[draw()])
-            except StopIteration:
-                return False
-        return True
-
-    ip = 0
-    reg = 0
-    anchor = 0
-    steps = 0
-    out: list[int] = []
-    while steps < max_steps:
-        if not need(ip + 2):
-            break
-        op = tape[ip] * 3 + tape[ip + 1]
-        ip += 2
-        steps += 1
-        if op < 3:
-            out.append(op)
-        elif op == _INC:
-            reg += 1
-        elif op == _DEC:
-            if reg:
-                reg -= 1
-        elif op == _SKIPZ:
-            if reg == 0:
-                ip += 2
-                if not need(ip):
-                    break
-        elif op == _LOOP:
-            if reg:
-                ip = anchor
-        elif op == _HALT:
-            return RunResult(to_str(tape), to_str(out), HALTED, len(tape), steps)
-        else:
-            anchor = ip
-    return RunResult(to_str(tape), to_str(out), BUDGET, len(tape), steps)
+    out, halted, consumed, steps, _ = _run_ints(
+        tape, max_steps, False, False, None, draw=lambda: (_IDX[next_symbol()],)
+    )
+    return RunResult(
+        to_str(tape), to_str(out), HALTED if halted else BUDGET, consumed, steps
+    )
 
 
 def is_canonical(

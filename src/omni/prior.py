@@ -37,78 +37,37 @@ def sample_seed(seed: int, index: int) -> int:
     return (seed * _MIX1 + (index + 1) * _MIX2) & _U64
 
 
-def trinary_source(rng: random.Random):
-    """Uniform symbols from 2-bit slices of the generator's bit stream,
-    rejecting the fourth pattern.  Yields '0', '1', ','."""
-    getrb = rng.getrandbits
-    while True:
-        block = getrb(62)
-        for _ in range(31):
-            v = block & 3
-            block >>= 2
-            if v != 3:
-                yield machine.SYMBOLS[v]
+# Symbols in one byte of generator bits, read as four 2-bit slices from the
+# low bits up, with the fourth pattern (3) rejected.  bytes, not tuples: the
+# table is smaller and a block's symbols join into one bytes object.
+_BYTE_SYMBOLS = [
+    bytes(v for v in (i & 3, i >> 2 & 3, i >> 4 & 3, i >> 6) if v != 3)
+    for i in range(256)
+]
+# A 62-bit block fills 7 bytes and the low 6 bits of the eighth; setting the
+# eighth byte's top slice to 3 rejects the slot the block does not have.
+_TOP_SLOT = 3 << 62
+
+
+def _block_symbols(block: int) -> bytes:
+    """Symbols in a 62-bit block: its 31 2-bit slices, low bits first,
+    with pattern 3 rejected."""
+    return b"".join(
+        map(_BYTE_SYMBOLS.__getitem__, (block | _TOP_SLOT).to_bytes(8, "little"))
+    )
 
 
 def _run_guess(rng: random.Random, max_steps: int) -> str | None:
     """Output of one guessed run, or None if it does not halt in budget.
 
-    Exactly machine.run_lazy_sampled over trinary_source(rng), inlined for
-    the million-sample sweeps (the equivalence is pinned by a test).
+    A lazy machine run whose tape squares are uniform random symbols, drawn
+    one getrandbits(62) block at a time.
     """
     getrb = rng.getrandbits
-    block = 0
-    left = 0
-    tape: list[int] = []
-    ip = 0
-    reg = 0
-    anchor = 0
-    steps = 0
-    out: list[int] = []
-    while steps < max_steps:
-        while len(tape) < ip + 2:
-            while True:
-                if left == 0:
-                    block = getrb(62)
-                    left = 31
-                v = block & 3
-                block >>= 2
-                left -= 1
-                if v != 3:
-                    tape.append(v)
-                    break
-        op = tape[ip] * 3 + tape[ip + 1]
-        ip += 2
-        steps += 1
-        if op < 3:
-            out.append(op)
-        elif op == 3:
-            reg += 1
-        elif op == 4:
-            if reg:
-                reg -= 1
-        elif op == 5:
-            if reg == 0:
-                ip += 2
-                while len(tape) < ip:
-                    while True:
-                        if left == 0:
-                            block = getrb(62)
-                            left = 31
-                        v = block & 3
-                        block >>= 2
-                        left -= 1
-                        if v != 3:
-                            tape.append(v)
-                            break
-        elif op == 6:
-            if reg:
-                ip = anchor
-        elif op == 7:
-            return to_str(out)
-        else:
-            anchor = ip
-    return None
+    out, halted, _, _, _ = machine._run_ints(
+        [], max_steps, False, False, None, draw=lambda: _block_symbols(getrb(62))
+    )
+    return to_str(out) if halted else None
 
 
 @dataclass
@@ -158,6 +117,7 @@ def estimate_prior_mc_batch(
     estimate_prior_mc per target with the same arguments."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    machine.check_inputs(budget, *targets)
     uniq = list(dict.fromkeys(targets))
     chunk = max(1, min(samples, 50_000))
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
@@ -192,6 +152,7 @@ def enumerate_prior(
 ) -> PriorEstimate:
     """Exact truncated prior mass: sum of 3^-|p| over canonical programs of
     length <= max_len printing the target."""
+    machine.check_inputs(budget, target)
     mass = Fraction(0)
     hits = 0
     for p, out in canonical_programs(max_len, budget, variant):
@@ -350,7 +311,7 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
     checked = 0
     for prog in programs(max_len):
         p = to_str(prog)
-        base = run(p, budget) if p else run("", budget)
+        base = run(p, budget)
         hosted = run("0" + p, budget + 1, variant=DUAL)
         checked += 1
         if base.output != hosted.output:

@@ -1,0 +1,172 @@
+"""Plain reference interpreter for the omni machine, for differential tests.
+
+Written for reading, not speed: symbols stay characters, every step decodes
+an Instruction by name, and the output grows one symbol at a time.  It
+covers FINITE and LAZY mode, the T3, T3C and DUAL variants, the output cap,
+and lazy tapes fed square by square from a symbol source.  It shares no
+code with omni.machine, so agreement between the two is evidence, not
+tautology.
+"""
+
+import enum
+
+SYMBOLS = "01,"
+
+
+class Instruction(enum.Enum):
+    OUT0 = "00"
+    OUT1 = "01"
+    OUTC = "0,"
+    INC = "10"
+    DEC = "11"
+    SKIPZ = "1,"
+    LOOP = ",0"
+    HALT = ",1"
+    MARK = ",,"
+
+
+_INSTRUCTION_BY_ID = [
+    Instruction.OUT0,
+    Instruction.OUT1,
+    Instruction.OUTC,
+    Instruction.INC,
+    Instruction.DEC,
+    Instruction.SKIPZ,
+    Instruction.LOOP,
+    Instruction.HALT,
+    Instruction.MARK,
+]
+
+
+def decode_instruction(first: str, second: str) -> Instruction:
+    """Decode a symbol pair.  Total: every pair maps to an instruction."""
+    if first not in SYMBOLS or second not in SYMBOLS:
+        raise ValueError(f"not a symbol: {first!r}/{second!r}")
+    return _INSTRUCTION_BY_ID[3 * SYMBOLS.index(first) + SYMBOLS.index(second)]
+
+
+def slot_symbols(block: int, slots: int) -> list[int]:
+    """The per-slot reading of generator bits: 2-bit slices from the low
+    bits up, the fourth pattern (3) rejected."""
+    symbols = []
+    for _ in range(slots):
+        v = block & 3
+        block >>= 2
+        if v != 3:
+            symbols.append(v)
+    return symbols
+
+
+def trinary_source(rng):
+    """Uniform symbols read slot by slot from getrandbits(62) blocks.
+    Yields '0', '1', ','."""
+    while True:
+        for v in slot_symbols(rng.getrandbits(62), 31):
+            yield SYMBOLS[v]
+
+
+class _Tape:
+    """Tape squares: a fixed program string, or squares read from a source
+    one at a time on first visit."""
+
+    def __init__(self, program, source):
+        self.squares = list(program)
+        self.source = source
+
+    def reach(self, upto):
+        """Try to make squares [0, upto) exist; report how many do."""
+        while self.source is not None and len(self.squares) < upto:
+            try:
+                self.squares.append(next(self.source))
+            except StopIteration:
+                self.source = None
+        return len(self.squares)
+
+
+def reference_run(
+    program="",
+    max_steps=100,
+    mode="finite",
+    variant="t3",
+    aux="",
+    out_cap=None,
+    source=None,
+):
+    """Run the machine; returns (tape, output, status, consumed, steps,
+    truncated) where tape is every square the run filled, as a string."""
+    tape = _Tape(program, source)
+    finite = mode == "finite"
+    output = []
+    truncated = False
+    register = 0
+    consumed = 0
+    steps = 0
+    swap = False
+    start = 0
+
+    def emit(symbol):
+        nonlocal truncated
+        if swap and symbol in "01":
+            symbol = "1" if symbol == "0" else "0"
+        if out_cap is None or len(output) < out_cap:
+            output.append(symbol)
+        else:
+            truncated = True
+
+    def finish(status):
+        return "".join(tape.squares), "".join(output), status, consumed, steps, truncated
+
+    def off_the_end():
+        return finish("halted" if finite else "budget")
+
+    if variant == "dual":
+        # the first square picks the table and costs one step
+        if tape.reach(1) < 1:
+            return off_the_end()
+        selector = tape.squares[0]
+        consumed = 1
+        steps = 1
+        if selector == ",":
+            return finish("halted")
+        swap = selector == "1"
+        start = 1
+
+    head = start
+    anchor = start
+    while steps < max_steps:
+        available = tape.reach(head + 2)
+        if head >= available:
+            return off_the_end()
+        if head == available - 1:
+            consumed = available  # a lone trailing square is consumed
+            return off_the_end()
+        instruction = decode_instruction(tape.squares[head], tape.squares[head + 1])
+        head += 2
+        consumed = max(consumed, head)
+        steps += 1
+        if instruction is Instruction.OUT0:
+            emit("0")
+        elif instruction is Instruction.OUT1:
+            emit("1")
+        elif instruction is Instruction.OUTC:
+            emit(",")
+        elif instruction is Instruction.INC:
+            register += 1
+        elif instruction is Instruction.DEC:
+            register = max(register - 1, 0)
+        elif instruction is Instruction.SKIPZ:
+            if register == 0:
+                head += 2
+                # the skipped squares count as visited, as far as they exist
+                consumed = max(consumed, min(head, tape.reach(head)))
+        elif instruction is Instruction.LOOP:
+            if register != 0:
+                head = anchor
+        elif instruction is Instruction.HALT:
+            return finish("halted")
+        elif variant == "t3c":  # READAUX
+            for symbol in aux:
+                emit(symbol)
+        else:  # MARK
+            anchor = head
+    return finish("budget")

@@ -56,6 +56,21 @@ def test_run_bad_program_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prior", "--target", "0x", "--samples", "10", "--budget", "50"],
+        ["prior-exact", "--target", "x", "--max-len", "2", "--budget", "50"],
+        ["prior", "--target", "0", "--samples", "10", "--budget", "0"],
+        ["kcomp", "--target", "0", "--max-len", "2", "--budget", "0"],
+        ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "0"],
+    ],
+)
+def test_bad_target_or_budget_exits_2(capsys, argv):
+    # the rules machine.run applies: budget >= 1, targets over "01,"
+    assert run_cli(capsys, *argv) == (2, "")
+
+
 def test_usage_error_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["run"])  # --program missing

@@ -16,17 +16,6 @@ def test_symbol_table_roundtrip():
         machine.to_ints("01x")
 
 
-def test_decoded_instruction_names():
-    # opcode = 3*first + second over the fixed table
-    names = [
-        machine.decode_instruction(a, b).name
-        for a, b in itertools.product(machine.SYMBOLS, repeat=2)
-    ]
-    assert names == [
-        "OUT0", "OUT1", "OUTC", "INC", "DEC", "SKIPZ", "LOOP", "HALT", "MARK",
-    ]
-
-
 def test_frozen_full_run():
     # worked by hand: OUT0 OUTC OUT1 HALT
     r = run("000,01,1", 50)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_machine import slot_symbols, trinary_source
 
 from omni import machine, prior
 from omni.prior import (
@@ -64,7 +65,7 @@ def test_sample_seed_spreads():
 
 
 def test_trinary_source_draws_all_symbols():
-    src = prior.trinary_source(random.Random(0))
+    src = trinary_source(random.Random(0))
     draws = [next(src) for _ in range(3000)]
     counts = {s: draws.count(s) for s in "01,"}
     assert all(800 < c < 1200 for c in counts.values())
@@ -97,8 +98,21 @@ def test_mc_tracks_enumeration():
 def test_guess_runner_equals_sampled_reference(seed):
     s = prior.sample_seed(123, seed)
     fast = prior._run_guess(random.Random(s), 40)
-    ref = machine.run_lazy_sampled(prior.trinary_source(random.Random(s)), 40)
+    ref = machine.run_lazy_sampled(trinary_source(random.Random(s)), 40)
     assert fast == (ref.output if ref.halted else None)
+
+
+def test_byte_table_equals_per_slot_reading():
+    for i in range(256):
+        assert list(prior._BYTE_SYMBOLS[i]) == slot_symbols(i, 4), i
+
+
+def test_block_split_equals_per_slot_reading():
+    rng = random.Random(2024)
+    # all-zero, all-one and top-slice-only blocks, then seeded draws
+    edges = [0, (1 << 62) - 1, 1 << 60, 2 << 60, 3 << 60, 0b111111 << 56]
+    for block in edges + [rng.getrandbits(62) for _ in range(20_000)]:
+        assert list(prior._block_symbols(block)) == slot_symbols(block, 31), block
 
 
 def test_samples_validation():

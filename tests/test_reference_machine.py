@@ -1,0 +1,105 @@
+"""Differential tests: every surviving fetch-decode loop against the plain
+reference interpreter in reference_machine."""
+
+import itertools
+import random
+
+import pytest
+from reference_machine import SYMBOLS, decode_instruction, reference_run, trinary_source
+
+from omni import complexity, machine, prior
+from omni.enumeration import programs
+from omni.machine import DUAL, FINITE, LAZY, T3, T3C
+
+ALL_UP_TO_6 = [machine.to_str(p) for p in programs(6)]
+BUDGETS = (1, 2, 5, 17, 60)
+AUX_TAPES = ("", "0", "1,0")
+INSTRUCTIONS = ["".join(pair) for pair in itertools.product(SYMBOLS, repeat=2)]
+
+
+def test_decoded_instruction_names():
+    # opcode = 3*first + second over the fixed table
+    names = [
+        decode_instruction(a, b).name
+        for a, b in itertools.product(SYMBOLS, repeat=2)
+    ]
+    assert names == [
+        "OUT0", "OUT1", "OUTC", "INC", "DEC", "SKIPZ", "LOOP", "HALT", "MARK",
+    ]
+
+
+def _fields(r):
+    return r.output, r.status, r.consumed, r.steps, r.truncated
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_run_matches_reference_on_all_short_programs(budget):
+    configs = [(T3, None), (DUAL, None)] + [(T3C, a) for a in AUX_TAPES]
+    for p in ALL_UP_TO_6:
+        for mode, (variant, aux), cap in itertools.product(
+            (FINITE, LAZY), configs, (None, 1)
+        ):
+            got = machine.run(p, budget, mode, variant, aux, cap)
+            _, *want = reference_run(p, budget, mode, variant, aux or "", cap)
+            assert _fields(got) == tuple(want), (p, budget, mode, variant, aux, cap)
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_source_fed_run_matches_reference_on_all_short_programs(budget):
+    # the program as a source that runs dry after its last symbol
+    for p in ALL_UP_TO_6:
+        got = machine.run_lazy_sampled(iter(p), budget)
+        want = reference_run(max_steps=budget, mode=LAZY, source=iter(p))
+        assert (got.program, *_fields(got)) == want, (p, budget)
+        fixed = reference_run(p, budget, LAZY)
+        assert want[1:4] == fixed[1:4], p  # same run as the fixed string
+
+
+@pytest.mark.parametrize("budget", BUDGETS + (300,))
+def test_pruned_searchers_match_reference_on_all_short_programs(budget):
+    # _matches and _output_within abort on cycle and divergence proofs, so
+    # budgets past their warm-up exercise the pruning
+    for p in ALL_UP_TO_6:
+        ints = machine.to_ints(p)
+        for aux in (None,) + AUX_TAPES:
+            variant = T3 if aux is None else T3C
+            _, out, status, *_ = reference_run(p, budget, FINITE, variant, aux or "")
+            halted = status == machine.HALTED
+            aux_ints = None if aux is None else tuple(machine.to_ints(aux))
+            for target in {out, out + "0", out[:-1], "", "0", "1,0"}:
+                got = complexity._matches(ints, tuple(machine.to_ints(target)), budget, aux_ints)
+                assert got == (halted and out == target), (p, budget, aux, target)
+            if aux is None:
+                for max_out in (0, 1, 3):
+                    want = tuple(machine.to_ints(out)) if halted and len(out) <= max_out else None
+                    assert complexity._output_within(ints, budget, max_out) == want, (p, budget)
+
+
+@pytest.mark.parametrize("budget", (7, 200))
+def test_guess_runner_matches_reference_on_seeded_samples(budget):
+    # the reference reads the same generator stream one slot at a time
+    for i in range(1500):
+        seed = prior.sample_seed(77, i)
+        got = prior._run_guess(random.Random(seed), budget)
+        _, out, status, *_ = reference_run(
+            max_steps=budget, mode=LAZY, source=trinary_source(random.Random(seed))
+        )
+        assert got == (out if status == machine.HALTED else None), (i, budget)
+
+
+def test_pruned_searchers_match_reference_past_the_warm_up():
+    # eight INCs, then every body of up to four instructions: the loops
+    # these build are still running when the cycle and divergence checks
+    # engage, which short programs rarely are
+    budget = 300
+    bodies = itertools.chain.from_iterable(
+        itertools.product(INSTRUCTIONS, repeat=j) for j in range(5)
+    )
+    for body in bodies:
+        p = "10" * 8 + "".join(body)
+        _, out, status, *_ = reference_run(p, budget)
+        halted = status == machine.HALTED
+        ints = machine.to_ints(p)
+        assert complexity._matches(ints, tuple(machine.to_ints(out)), budget) == halted, p
+        want = tuple(machine.to_ints(out)) if halted else None
+        assert complexity._output_within(ints, budget, len(out)) == want, p
