@@ -50,8 +50,11 @@ class NoiseModel:
             raise ValueError("empty alphabet")
         if len(set(self.alphabet)) != len(self.alphabet):
             raise ValueError("duplicate alphabet entries")
+        states = set(self.alphabet)
         rows: dict[str, float] = {}
         for (a, b), p in self.transitions.items():
+            if a not in states or b not in states:
+                raise ValueError(f"transition {a!r} -> {b!r} leaves the alphabet")
             if p < 0:
                 raise ValueError(f"negative probability for {a!r} -> {b!r}")
             rows[a] = rows.get(a, 0.0) + p
@@ -59,6 +62,8 @@ class NoiseModel:
             if abs(s - 1.0) > 1e-9:
                 raise ValueError(f"outgoing probabilities from {a!r} sum to {s}")
         if self.initial is not None:
+            if not states.issuperset(self.initial):
+                raise ValueError("initial distribution outside the alphabet")
             s = sum(self.initial.values())
             if abs(s - 1.0) > 1e-9:
                 raise ValueError(f"initial distribution sums to {s}")

@@ -16,7 +16,7 @@ worker count by construction.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 from . import machine

@@ -39,7 +39,9 @@ A lazy tape can also be source-fed: run_lazy_sampled reads a caller's
 symbol iterator one square at a time, and prior's Monte Carlo sampler fills
 squares from random bits.  Fixed, source-fed and sampled tapes all run
 through one interpreter core, _run_ints; a source that runs dry ends the
-tape like the end of a fixed program string.
+tape like the end of a fixed program string.  A run that stops at the end
+of its tape can be resumed on a longer one, which is how prior's canonical
+sweep runs every program prefix once.
 
 A program is *canonical* when its lazy-mode run halts having consumed
 exactly its own length.  Canonical programs are prefix-free by
@@ -128,24 +130,37 @@ def _extend(tape, upto, draw):
     return len(tape)
 
 
-def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
+def _run_ints(
+    prog, max_steps, finite, readaux, aux, out_cap=None, draw=None, state=None
+):
     """Core fetch-decode-execute loop on int symbol sequences.
 
-    Returns (out_ints, halted, consumed, steps, truncated).  readaux=True
-    gives T3C semantics for opcode ',,'.  out_cap stops output growth at
-    the cap (execution continues) and flips the truncated flag.  With
-    draw, prog is a list that grows by draw() blocks whenever the head
+    Returns (out_ints, halted, consumed, steps, truncated, suspended).
+    readaux=True gives T3C semantics for opcode ',,'.  out_cap stops output
+    growth at the cap (execution continues) and flips the truncated flag.
+    With draw, prog is a list that grows by draw() blocks whenever the head
     (a fetch or a SKIPZ) needs a square past its end, so each square is
     filled on first visit; a StopIteration from draw ends the tape there.
+
+    suspended is None unless the run stopped at the end of its tape: then
+    it is the machine state there, (ip, reg, anchor, consumed, steps,
+    truncated, out).  Passing it back as state, with prog extended by more
+    squares, resumes the run where it stopped; the result equals a run of
+    the extended tape from square 0, so a sweep over all tapes can fork one
+    suspended state per next symbol instead of re-running each prefix.  A
+    resumed run copies out, so one state can be resumed several times.
     """
     n = len(prog)
-    ip = 0
-    reg = 0
-    anchor = 0
-    consumed = 0
-    steps = 0
-    truncated = False
-    out: list[int] = []
+    if state is None:
+        ip = reg = anchor = consumed = steps = 0
+        truncated = False
+        out: list[int] = []
+    else:
+        ip, reg, anchor, consumed, steps, truncated, out = state
+        out = list(out)
+        c = ip if ip <= n else n  # squares a pending skip moved over
+        if c > consumed:
+            consumed = c
     while steps < max_steps:
         if ip >= n - 1:
             if draw is not None:
@@ -155,7 +170,8 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
                 # tape (not a real halt) in lazy mode
                 if ip == n - 1:
                     consumed = n  # the lone trailing symbol is consumed
-                return out, finite, consumed, steps, truncated
+                suspended = (ip, reg, anchor, consumed, steps, truncated, out)
+                return out, finite, consumed, steps, truncated, suspended
         op = prog[ip] * 3 + prog[ip + 1]
         ip += 2
         if ip > consumed:
@@ -183,7 +199,7 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
             if reg:
                 ip = anchor
         elif op == _HALT:
-            return out, True, consumed, steps, truncated
+            return out, True, consumed, steps, truncated, None
         elif readaux:  # ',,' in T3C
             if aux:
                 if out_cap is None:
@@ -197,7 +213,7 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
                         out.extend(aux)
         else:  # ',,' in T3: MARK
             anchor = ip
-    return out, False, consumed, steps, truncated
+    return out, False, consumed, steps, truncated, None
 
 
 def run(
@@ -227,7 +243,7 @@ def run(
         return _run_dual(program, prog, max_steps, finite, out_cap)
 
     aux_ints = to_ints(aux) if aux is not None else None
-    out, halted, consumed, steps, truncated = _run_ints(
+    out, halted, consumed, steps, truncated, _ = _run_ints(
         prog, max_steps, finite, variant == T3C, aux_ints, out_cap
     )
     return RunResult(
@@ -242,7 +258,7 @@ def _run_dual(program, prog, max_steps, finite, out_cap):
     sel = prog[0]
     if sel == 2:  # ',' selector: halt with empty output
         return RunResult(program, "", HALTED, 1, 1)
-    out, halted, consumed, steps, truncated = _run_ints(
+    out, halted, consumed, steps, truncated, _ = _run_ints(
         prog[1:], max_steps - 1, finite, False, None, out_cap
     )
     if sel == 1:  # swapped table: OUT0 emits '1', OUT1 emits '0'
@@ -269,7 +285,7 @@ def run_lazy_sampled(source, max_steps: int) -> RunResult:
     check_inputs(max_steps)
     next_symbol = source.__next__ if hasattr(source, "__next__") else source
     tape: list[int] = []
-    out, halted, consumed, steps, _ = _run_ints(
+    out, halted, consumed, steps, _, _ = _run_ints(
         tape, max_steps, False, False, None, draw=lambda: (_IDX[next_symbol()],)
     )
     return RunResult(

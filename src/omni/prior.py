@@ -64,7 +64,7 @@ def _run_guess(rng: random.Random, max_steps: int) -> str | None:
     one getrandbits(62) block at a time.
     """
     getrb = rng.getrandbits
-    out, halted, _, _, _ = machine._run_ints(
+    out, halted, _, _, _, _ = machine._run_ints(
         [], max_steps, False, False, None, draw=lambda: _block_symbols(getrb(62))
     )
     return to_str(out) if halted else None
@@ -137,14 +137,70 @@ def estimate_prior_mc(
     return estimate_prior_mc_batch([target], samples, budget, seed, workers)[target]
 
 
+_SWAP01 = str.maketrans("01", "10")
+
+
 def canonical_programs(max_len: int, budget: int, variant: str = T3):
     """Yield (program, output) over canonical programs up to max_len,
-    shortlex order."""
-    for prog in programs(max_len):
-        p = to_str(prog)
-        r = run(p, budget, LAZY, variant)
-        if r.halted and r.consumed == len(p):
-            yield p, r.output
+    shortlex order.
+
+    Fork-on-read: rather than re-running each of the 3^max_len tape strings
+    from square 0, a depth-first walk over the tape tree resumes its
+    parent's suspended lazy run with one more square, so every prefix runs
+    once.  A halt at depth d is a canonical program of length d, and a halt
+    or an exhausted budget ends the node's whole subtree, since every
+    extension repeats that run.  Shortlex order comes from deepening one
+    length at a time.  A DUAL program is its selector symbol and then a T3
+    program run at budget - 1: ',' alone, then '0' + p, then '1' + p with
+    the output's 0 and 1 swapped.
+
+    Raises ValueError for a budget below 1 and for variants other than T3
+    and DUAL.
+    """
+    machine.check_inputs(budget)
+    if variant == T3:
+        for length in range(1, max_len + 1):
+            yield from _canonical_t3(length, budget)
+    elif variant == DUAL:
+        if max_len >= 1:
+            yield ",", ""
+        for length in range(1, max_len):
+            level = list(_canonical_t3(length, budget - 1))
+            for p, out in level:
+                yield "0" + p, out
+            for p, out in level:
+                yield "1" + p, out.translate(_SWAP01)
+    else:
+        raise ValueError(f"no canonical programs for variant {variant!r}")
+
+
+def _canonical_t3(length: int, budget: int):
+    """(program, output) of every canonical T3 program of exactly this
+    length, in lexicographic order, by the fork-on-read tape-tree walk."""
+    run_ints = machine._run_ints
+    tape: list[int] = []
+    root = run_ints(tape, budget, False, False, None)[5]  # None at budget 0
+    # pending children as (depth of the parent, next symbol, parent state),
+    # pushed in reverse so that symbol 0 comes off the stack first
+    stack = [(0, 2, root), (0, 1, root), (0, 0, root)] if root else []
+    push = stack.extend
+    while stack:
+        depth, symbol, state = stack.pop()
+        del tape[depth:]
+        tape.append(symbol)
+        depth += 1
+        # state[0] is the ip of the suspended fetch, which reads squares ip
+        # and ip+1: until the tape holds both, resuming would change nothing
+        if state[0] + 1 < depth:
+            out, halted, _, _, _, state = run_ints(
+                tape, budget, False, False, None, None, None, state
+            )
+            if state is None:  # halted or out of budget: the subtree is done
+                if halted and depth == length:
+                    yield to_str(tape), to_str(out)
+                continue
+        if depth < length:
+            push(((depth, 2, state), (depth, 1, state), (depth, 0, state)))
 
 
 def enumerate_prior(
@@ -153,12 +209,14 @@ def enumerate_prior(
     """Exact truncated prior mass: sum of 3^-|p| over canonical programs of
     length <= max_len printing the target."""
     machine.check_inputs(budget, target)
-    mass = Fraction(0)
+    top = max(max_len, 0)
+    weight = 0  # the mass in units of 3^-top, summed exactly as an integer
     hits = 0
     for p, out in canonical_programs(max_len, budget, variant):
         if out == target:
-            mass += Fraction(1, 3 ** len(p))
+            weight += 3 ** (top - len(p))
             hits += 1
+    mass = Fraction(weight, 3**top)
     return PriorEstimate(
         target, float(mass), "enum", None, max_len, budget, hits, None, mass
     )
@@ -183,12 +241,13 @@ class KraftReport:
 def kraft_sum(max_len: int, budget: int, variant: str = T3) -> KraftReport:
     """Sum of 3^-|p| over all canonical programs up to max_len.  Bounded by
     1 at every truncation because the canonical set is prefix-free."""
-    mass = Fraction(0)
+    top = max(max_len, 0)
+    weight = 0  # the mass in units of 3^-top, summed exactly as an integer
     count = 0
     for p, _ in canonical_programs(max_len, budget, variant):
-        mass += Fraction(1, 3 ** len(p))
+        weight += 3 ** (top - len(p))
         count += 1
-    return KraftReport(mass, count, max_len, budget)
+    return KraftReport(Fraction(weight, 3**top), count, max_len, budget)
 
 
 def canonicalize_witness(witness: str, budget: int) -> str | None:

@@ -3,12 +3,14 @@
 Written for reading, not speed: symbols stay characters, every step decodes
 an Instruction by name, and the output grows one symbol at a time.  It
 covers FINITE and LAZY mode, the T3, T3C and DUAL variants, the output cap,
-and lazy tapes fed square by square from a symbol source.  It shares no
-code with omni.machine, so agreement between the two is evidence, not
+and lazy tapes fed square by square from a symbol source, plus the
+per-string definition of the canonical programs.  It shares no code with
+omni, so agreement between the two is evidence, not
 tautology.
 """
 
 import enum
+import itertools
 
 SYMBOLS = "01,"
 
@@ -170,3 +172,17 @@ def reference_run(
         else:  # MARK
             anchor = head
     return finish("budget")
+
+
+def canonical_by_string(max_len, budget, variant="t3"):
+    """(program, output) of the canonical programs up to max_len, by the
+    definition: every string in shortlex order whose lazy run halts having
+    consumed exactly its own length."""
+    for length in range(max_len + 1):
+        for symbols in itertools.product(SYMBOLS, repeat=length):
+            program = "".join(symbols)
+            _, output, status, consumed, _, _ = reference_run(
+                program, budget, "lazy", variant
+            )
+            if status == "halted" and consumed == length:
+                yield program, output

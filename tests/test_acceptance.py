@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from omni import complexity, enumeration, machine, prior, ssa
+from omni import complexity, enumeration, prior, ssa
 from omni.coding import NoiseModel, arithmetic_roundtrip, shannon_code_length
 
 

@@ -64,10 +64,17 @@ def test_run_bad_program_exits_2(capsys):
         ["prior", "--target", "0", "--samples", "10", "--budget", "0"],
         ["kcomp", "--target", "0", "--max-len", "2", "--budget", "0"],
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "0"],
+        ["kraft", "--max-len", "0", "--budget", "0"],
+        ["kraft", "--max-len", "4", "--budget", "0"],
+        ["kraft", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
+        ["kraft", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
+        ["prior-exact", "--target", "0", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
+        ["prior-exact", "--target", "0", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
     ],
 )
 def test_bad_target_or_budget_exits_2(capsys, argv):
-    # the rules machine.run applies: budget >= 1, targets over "01,"
+    # the rules machine.run applies: budget >= 1, targets over "01,"; the
+    # canonical sweeps also have no T3C form (its aux tape is not a program)
     assert run_cli(capsys, *argv) == (2, "")
 
 

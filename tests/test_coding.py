@@ -39,6 +39,13 @@ def test_validate_rejects_bad_rows():
         NoiseModel(["a", "a"], {("a", "a"): 1.0}).validate()
     with pytest.raises(ValueError):
         NoiseModel(["a"], {("a", "a"): 1.0}, initial={"a": 0.7}).validate()
+    # states outside the alphabet, which the coder could never emit
+    with pytest.raises(ValueError):
+        NoiseModel(["a"], {("a", "a"): 0.5, ("a", "z"): 0.5}).validate()
+    with pytest.raises(ValueError):
+        NoiseModel(["a"], {("a", "a"): 1.0, ("z", "a"): 1.0}).validate()
+    with pytest.raises(ValueError):
+        NoiseModel(["a"], {("a", "a"): 1.0}, initial={"a": 0.5, "z": 0.5}).validate()
 
 
 def test_shannon_length_frozen():

@@ -3,7 +3,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omni import enumeration, machine
+from omni import machine
 from omni.enumeration import (
     dovetail,
     dovetail_step_owner,

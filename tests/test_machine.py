@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from omni import machine
-from omni.machine import BUDGET, DUAL, FINITE, HALTED, LAZY, T3, T3C, run
+from omni.enumeration import programs
+from omni.machine import BUDGET, DUAL, HALTED, LAZY, T3C, run
 
 programs_st = st.text(alphabet="01,", max_size=8)
 
@@ -127,6 +128,25 @@ def test_is_canonical():
     assert not machine.is_canonical("00", 10)  # lazy run starves
     assert not machine.is_canonical("00,10", 10)  # trailing symbol unread
     assert not machine.is_canonical("", 10)
+
+
+@pytest.mark.parametrize("finite", (True, False))
+@pytest.mark.parametrize(
+    "readaux, aux, out_cap", [(False, None, None), (True, [0, 2], None), (False, None, 1)]
+)
+def test_resumed_run_equals_a_fresh_run(finite, readaux, aux, out_cap):
+    # start on a prefix, then resume each suspended state with one more
+    # square: the last result, suspended state included, equals one run of
+    # the whole program from square 0
+    for prog in programs(6):
+        want = machine._run_ints(list(prog), 40, finite, readaux, aux, out_cap)
+        for cut in range(len(prog)):
+            tape = list(prog[:cut])
+            got = machine._run_ints(tape, 40, finite, readaux, aux, out_cap)
+            while got[5] is not None and len(tape) < len(prog):
+                tape.append(prog[len(tape)])
+                got = machine._run_ints(tape, 40, finite, readaux, aux, out_cap, state=got[5])
+            assert got == want, (prog, cut)
 
 
 def test_run_lazy_sampled_scripted_source():

@@ -26,6 +26,13 @@ def test_kraft_frozen_values():
     assert kraft_sum(2, 100).program_count == 1  # just ",1"
 
 
+def test_kraft_frozen_at_twelve():
+    # computed by running each of the 3^12 strings alone
+    rep = kraft_sum(12, 200)
+    assert rep.total_mass == Fraction(246091, 531441)
+    assert rep.program_count == 32835
+
+
 def test_kraft_monotone_and_bounded():
     masses = [kraft_sum(level, 500).total_mass for level in range(0, 9, 2)]
     assert all(a <= b for a, b in zip(masses, masses[1:]))

@@ -5,7 +5,13 @@ import itertools
 import random
 
 import pytest
-from reference_machine import SYMBOLS, decode_instruction, reference_run, trinary_source
+from reference_machine import (
+    SYMBOLS,
+    canonical_by_string,
+    decode_instruction,
+    reference_run,
+    trinary_source,
+)
 
 from omni import complexity, machine, prior
 from omni.enumeration import programs
@@ -75,6 +81,15 @@ def test_pruned_searchers_match_reference_on_all_short_programs(budget):
                     assert complexity._output_within(ints, budget, max_out) == want, (p, budget)
 
 
+@pytest.mark.parametrize("variant", (T3, DUAL))
+@pytest.mark.parametrize("budget", (1, 2, 3, 5, 17, 200, 1000))
+def test_canonical_walk_matches_per_string_definition(budget, variant):
+    # the fork-on-read tape-tree walk against every string run alone,
+    # order included
+    got = list(prior.canonical_programs(8, budget, variant))
+    assert got == list(canonical_by_string(8, budget, variant))
+
+
 @pytest.mark.parametrize("budget", (7, 200))
 def test_guess_runner_matches_reference_on_seeded_samples(budget):
     # the reference reads the same generator stream one slot at a time
@@ -87,19 +102,65 @@ def test_guess_runner_matches_reference_on_seeded_samples(budget):
         assert got == (out if status == machine.HALTED else None), (i, budget)
 
 
-def test_pruned_searchers_match_reference_past_the_warm_up():
-    # eight INCs, then every body of up to four instructions: the loops
-    # these build are still running when the cycle and divergence checks
-    # engage, which short programs rarely are
-    budget = 300
+def _check_searchers_on_bodies(prefix, budget=300):
+    # prefix, then every body of up to four instructions
     bodies = itertools.chain.from_iterable(
         itertools.product(INSTRUCTIONS, repeat=j) for j in range(5)
     )
     for body in bodies:
-        p = "10" * 8 + "".join(body)
+        p = prefix + "".join(body)
         _, out, status, *_ = reference_run(p, budget)
         halted = status == machine.HALTED
         ints = machine.to_ints(p)
         assert complexity._matches(ints, tuple(machine.to_ints(out)), budget) == halted, p
         want = tuple(machine.to_ints(out)) if halted else None
         assert complexity._output_within(ints, budget, len(out)) == want, p
+
+
+def test_pruned_searchers_match_reference_past_the_warm_up():
+    # eight INCs, then the bodies: the loops these build are still running
+    # when the cycle and divergence checks engage, which short programs
+    # rarely are
+    _check_searchers_on_bodies("10" * 8)
+
+
+def test_pruned_searchers_match_reference_after_the_register_returns_to_zero():
+    # eight INCs and eight DECs bring the register back to zero as the
+    # warm-up ends, then a MARK and the bodies: a loop state seen at
+    # register zero and met again with a higher register proves nothing,
+    # since a zero test there branched the other way
+    _check_searchers_on_bodies("10" * 8 + "11" * 8 + ",,")
+
+
+class _StepLimit(int):
+    """A step budget that fails the test once a run has checked it more
+    than `limit` times; the searchers check it once per step."""
+
+    def __new__(cls, budget, limit):
+        self = super().__new__(cls, budget)
+        self.limit = limit
+        self.checks = 0
+        return self
+
+    def __gt__(self, steps):  # `steps < budget` asks the budget first
+        self.checks += 1
+        assert self.checks <= self.limit, f"still running after {self.limit} steps"
+        return int.__gt__(self, steps)
+
+
+@pytest.mark.parametrize("start", (3, 5, 7))
+def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
+    # after the warm-up and `start` INCs, the loop DEC DEC INC LOOP takes the
+    # register down by one a pass until it cycles at 1; the searchers see the
+    # cycle only because each lower register replaces the one stored for the
+    # loop state, and without that they run to the budget
+    p = "10" * 8 + "11" * 8 + "10" * start + ",," + "1111" + "10" + ",0"
+    _, _, status, *_ = reference_run(p, 300)
+    assert status == machine.BUDGET
+    ints = machine.to_ints(p)
+    budget = _StepLimit(10**6, limit=100)
+    assert complexity._matches(ints, (), budget) is False
+    assert 0 < budget.checks
+    budget = _StepLimit(10**6, limit=100)
+    assert complexity._output_within(ints, budget, 3) is None
+    assert 0 < budget.checks
