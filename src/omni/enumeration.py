@@ -57,10 +57,8 @@ def program_to_index(program: str) -> int:
 
 def programs(max_len: int, min_len: int = 0):
     """Yield all programs with min_len <= length <= max_len, shortlex order,
-    as int tuples (convert with machine.to_str when needed)."""
-    if min_len == 0:
-        yield ()
-        min_len = 1
+    as int tuples (convert with machine.to_str when needed); none when
+    max_len < min_len."""
     for length in range(min_len, max_len + 1):
         yield from itertools.product((0, 1, 2), repeat=length)
 

@@ -10,8 +10,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 
 def parallel_map(fn, items, workers: int = 1, chunksize: int | None = None) -> list:
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     items = list(items)
-    if workers <= 1 or len(items) <= 1:
+    # the executor starts all its processes at the first submit, so it gets
+    # no more than there are items
+    workers = min(workers, len(items))
+    if workers <= 1:
         return [fn(x) for x in items]
     if chunksize is None:
         chunksize = max(1, len(items) // (workers * 4))

@@ -4,9 +4,9 @@ Written for reading, not speed: symbols stay characters, every step decodes
 an Instruction by name, and the output grows one symbol at a time.  It
 covers FINITE and LAZY mode, the T3, T3C and DUAL variants, the output cap,
 and lazy tapes fed square by square from a symbol source, plus the
-per-string definition of the canonical programs.  It shares no code with
-omni, so agreement between the two is evidence, not
-tautology.
+per-string definitions of the canonical programs and of the shortlex-first
+witness for each output.  It shares no code with omni, so agreement
+between the two is evidence, not tautology.
 """
 
 import enum
@@ -186,3 +186,22 @@ def canonical_by_string(max_len, budget, variant="t3"):
             )
             if status == "halted" and consumed == length:
                 yield program, output
+
+
+def first_witnesses_by_string(max_len, budget, aux=None, prefix=""):
+    """{output: the shortlex-first program up to max_len printing it}, by
+    the definition: every string in shortlex order run alone in finite
+    mode, keeping the first that halts within the budget with each output.
+    aux=None runs T3; a string runs T3C with it on the aux tape.  With a
+    prefix, only the programs that start with it are run."""
+    variant = "t3" if aux is None else "t3c"
+    first = {}
+    for length in range(max_len - len(prefix) + 1):
+        for symbols in itertools.product(SYMBOLS, repeat=length):
+            program = prefix + "".join(symbols)
+            _, output, status, *_ = reference_run(
+                program, budget, "finite", variant, aux or ""
+            )
+            if status == "halted":
+                first.setdefault(output, program)
+    return first

@@ -70,11 +70,18 @@ def test_run_bad_program_exits_2(capsys):
         ["kraft", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
         ["prior-exact", "--target", "0", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
         ["prior-exact", "--target", "0", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
+        ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "10", "--workers", "0"],
+        ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "10", "--workers", "-1"],
+        ["prior", "--target", "0", "--samples", "10", "--budget", "50", "--workers", "0"],
+        ["prior", "--target", "0", "--samples", "10", "--budget", "50", "--workers", "-1"],
+        ["dovetail", "--steps", "64", "--workers", "0"],
+        ["dovetail", "--steps", "64", "--workers", "-1"],
     ],
 )
 def test_bad_target_or_budget_exits_2(capsys, argv):
     # the rules machine.run applies: budget >= 1, targets over "01,"; the
-    # canonical sweeps also have no T3C form (its aux tape is not a program)
+    # canonical sweeps also have no T3C form (its aux tape is not a program);
+    # a fan-out needs at least one worker
     assert run_cli(capsys, *argv) == (2, "")
 
 

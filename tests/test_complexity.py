@@ -25,12 +25,30 @@ def test_search_miss_returns_none():
 
 
 def test_ten_zeros_needs_the_full_literal():
-    # loop constructions cost 2k+2m+6 >= 20 symbols for k*m = 10 zeros, so
-    # nothing below the literal exists; checked to L=10 here, L=14 offline
+    # a counted loop costs 2k+2m+6 >= 20 symbols for k*m = 10 zeros, as
+    # much as the literal; the 18-symbol program of the next test is shorter
     assert shortest_program_upper_bound("0" * 10, 10, 1000).k_hat is None
     lit = machine.run("00" * 10, 100)
     loop = machine.run("1010,,000000000011,0", 1000)
     assert lit.output == loop.output == "0" * 10
+
+
+def test_ten_zeros_within_fourteen_symbols_has_no_witness():
+    assert shortest_program_upper_bound("0" * 10, 14, 1000).k_hat is None
+
+
+def test_ten_zeros_in_eighteen_symbols():
+    # OUT0 x5, SKIPZ over HALT, INC, LOOP back to square 0, OUT0 x5, and
+    # with the register now 1 the SKIPZ falls through to HALT
+    r = machine.run("00000000001,,110,0", 1000)
+    assert (r.status, r.output, r.consumed) == (machine.HALTED, "0" * 10, 18)
+
+
+def test_negative_length_cap_means_no_programs():
+    assert shortest_program_upper_bound("", -3, 10).to_json()["k_hat"] is None
+    b = conditional_upper_bound("", "0", -1, 10)
+    assert (b.k_hat, b.witness) == (None, None)
+    assert shortest_program_upper_bound("", 0, 10).k_hat == 0
 
 
 def test_conditional_uses_aux_copies():
@@ -104,4 +122,5 @@ def test_match_search_agrees_with_plain_runner(p, target, budget):
     # target"; its aborts may only skip programs that cannot match
     r = machine.run(p, budget)
     expected = r.halted and r.output == target
-    assert complexity._matches(machine.to_ints(p), machine.to_ints(target), budget) == expected
+    t = tuple(machine.to_ints(target))
+    assert (complexity._resume(machine.to_ints(p), budget, len(t), t)[0] == t) == expected

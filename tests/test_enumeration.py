@@ -46,6 +46,12 @@ def test_programs_generator_matches_bijection():
     assert len(gen) == (3**4 - 1) // 2
 
 
+def test_programs_below_min_len_are_none():
+    assert list(programs(-1)) == list(programs(1, min_len=2)) == []
+    assert list(programs(0)) == [()]
+    assert len(list(programs(2, min_len=2))) == 9
+
+
 def _owner_by_definition(t):
     # A_1 takes every second step; A_k takes every second remaining step
     k = 1

@@ -142,11 +142,19 @@ def test_coding_gap_unreachable_target_skipped():
     assert rep.to_json()["max_gap"] is None
 
 
+def test_coding_gap_at_negative_length_cap_prices_nothing():
+    rep = coding_theorem_gap([""], -1, 10)
+    assert rep.to_json()["targets"] == [
+        {"target": "", "k_hat": None, "k_canonical": None, "mass": 0.0, "gap": None}
+    ]
+
+
 def test_compiler_check_small():
     rep = compiler_prefix_check(4, 300)
     assert rep.ok
     assert rep.outputs_checked == (3**5 - 1) // 2
     assert rep.output_counterexamples == [] and rep.mass_counterexamples == []
+    assert compiler_prefix_check(-2, 10).outputs_checked == 0
 
 
 def test_dual_canonical_mass_construction():

@@ -9,6 +9,7 @@ from reference_machine import (
     SYMBOLS,
     canonical_by_string,
     decode_instruction,
+    first_witnesses_by_string,
     reference_run,
     trinary_source,
 )
@@ -63,8 +64,8 @@ def test_source_fed_run_matches_reference_on_all_short_programs(budget):
 
 @pytest.mark.parametrize("budget", BUDGETS + (300,))
 def test_pruned_searchers_match_reference_on_all_short_programs(budget):
-    # _matches and _output_within abort on cycle and divergence proofs, so
-    # budgets past their warm-up exercise the pruning
+    # the search loop, run on whole programs, aborts on cycle and divergence
+    # proofs, so budgets past its warm-up exercise the pruning
     for p in ALL_UP_TO_6:
         ints = machine.to_ints(p)
         for aux in (None,) + AUX_TAPES:
@@ -73,12 +74,13 @@ def test_pruned_searchers_match_reference_on_all_short_programs(budget):
             halted = status == machine.HALTED
             aux_ints = None if aux is None else tuple(machine.to_ints(aux))
             for target in {out, out + "0", out[:-1], "", "0", "1,0"}:
-                got = complexity._matches(ints, tuple(machine.to_ints(target)), budget, aux_ints)
+                t = tuple(machine.to_ints(target))
+                got = complexity._resume(ints, budget, len(t), t, aux_ints)[0] == t
                 assert got == (halted and out == target), (p, budget, aux, target)
             if aux is None:
                 for max_out in (0, 1, 3):
                     want = tuple(machine.to_ints(out)) if halted and len(out) <= max_out else None
-                    assert complexity._output_within(ints, budget, max_out) == want, (p, budget)
+                    assert complexity._resume(ints, budget, max_out)[0] == want, (p, budget)
 
 
 @pytest.mark.parametrize("variant", (T3, DUAL))
@@ -88,6 +90,64 @@ def test_canonical_walk_matches_per_string_definition(budget, variant):
     # order included
     got = list(prior.canonical_programs(8, budget, variant))
     assert got == list(canonical_by_string(8, budget, variant))
+
+
+@pytest.mark.parametrize("aux", (None,) + AUX_TAPES)
+@pytest.mark.parametrize("budget", (1, 2, 3, 5, 17, 300))
+def test_first_witness_walk_matches_per_program_definition(budget, aux):
+    # the fork-on-read search against every program run alone, at every
+    # length cap: targets are the programs' own outputs, one symbol more
+    # (mostly no witness, so the whole tree is walked) and three fixed ones
+    first = first_witnesses_by_string(7, budget, aux)
+    targets = set(first) | {out + s for out in first for s in SYMBOLS}
+    for target in sorted(targets | {"", "0", "1,0"}):
+        for max_len in range(8):
+            if aux is None:
+                got = complexity.shortest_program_upper_bound(target, max_len, budget)
+            else:
+                got = complexity.conditional_upper_bound(target, aux, max_len, budget)
+            want = first.get(target)
+            if want is None or len(want) > max_len:
+                assert (got.witness, got.k_hat) == (None, None), (target, max_len)
+            else:
+                assert (got.witness, got.k_hat) == (want, len(want)), (target, max_len)
+
+
+@pytest.mark.parametrize("prefix", ("10" * 8, "10" * 8 + "11" * 8 + ",,"))
+def test_first_witness_walk_from_a_prefix_past_the_warm_up(prefix):
+    # the prefix leaves the run suspended after the warm-up (the second one
+    # with a cycle record at the fork), so sibling subtrees resume the same
+    # state: a cycle record shared between them would kill all but the first
+    max_len = len(prefix) + 6
+    first = first_witnesses_by_string(max_len, 300, prefix=prefix)
+    ints = machine.to_ints(prefix)
+    targets = set(first) | {out + s for out in first for s in SYMBOLS}
+    for target in sorted(targets):
+        t = tuple(machine.to_ints(target))
+        witness = None
+        for witness, _ in complexity._witnesses(
+            max_len, 300, len(t), t, prefix=ints, shortest=True
+        ):
+            pass
+        assert witness == first.get(target), target
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_census_matches_per_length_table(workers):
+    # the shortest program printing each n-symbol output, from every
+    # program run alone; the census counts those shorter than n - c
+    for budget in (5, 300):
+        first = first_witnesses_by_string(7, budget)
+        for n in (1, 2, 3, 4):
+            subtrees = [
+                complexity._census_outputs(n, 7, budget, p) for p in programs(2, min_len=2)
+            ]
+            want = {out for out in first if len(out) == n}
+            assert set().union(*subtrees) == {tuple(machine.to_ints(o)) for o in want}
+            for c in (1, 2):
+                k = sum(len(first[out]) < n - c for out in want)
+                rep = complexity.compressibility_census(n, c, 7, budget, workers)
+                assert (rep.compressible, rep.total) == (k, 3**n), (budget, n, c)
 
 
 @pytest.mark.parametrize("budget", (7, 200))
@@ -112,9 +172,10 @@ def _check_searchers_on_bodies(prefix, budget=300):
         _, out, status, *_ = reference_run(p, budget)
         halted = status == machine.HALTED
         ints = machine.to_ints(p)
-        assert complexity._matches(ints, tuple(machine.to_ints(out)), budget) == halted, p
-        want = tuple(machine.to_ints(out)) if halted else None
-        assert complexity._output_within(ints, budget, len(out)) == want, p
+        t = tuple(machine.to_ints(out))
+        assert (complexity._resume(ints, budget, len(t), t)[0] == t) == halted, p
+        want = t if halted else None
+        assert complexity._resume(ints, budget, len(out))[0] == want, p
 
 
 def test_pruned_searchers_match_reference_past_the_warm_up():
@@ -159,8 +220,8 @@ def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
     assert status == machine.BUDGET
     ints = machine.to_ints(p)
     budget = _StepLimit(10**6, limit=100)
-    assert complexity._matches(ints, (), budget) is False
+    assert complexity._resume(ints, budget, 0, ())[0] is None
     assert 0 < budget.checks
     budget = _StepLimit(10**6, limit=100)
-    assert complexity._output_within(ints, budget, 3) is None
+    assert complexity._resume(ints, budget, 3)[0] is None
     assert 0 < budget.checks
