@@ -144,12 +144,27 @@ def _seed(args) -> int:
     return int(env) if env is not None else args.seed
 
 
+# the fields of a dovetail snapshot's header and rows, with their JSON types
+_REGISTRY_HEAD = {"cap": int, "requested_steps": int, "executed_steps": int, "mode": str}
+_REGISTRY_ROW = {
+    "k": int, "program": str, "steps": int, "halted": bool, "output_prefix": str, "truncated": bool,
+}
+
+
+def _well_formed(row, fields) -> bool:
+    return isinstance(row, dict) and all(type(row.get(f)) is t for f, t in fields.items())
+
+
 def _load_registry(path: str) -> enumeration.DovetailRegistry:
     with open(path) as f:
         lines = [json.loads(line) for line in f if line.strip()]
-    if not lines or lines[0].get("kind") != "dovetail-registry":
+    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "dovetail-registry":
         raise ValueError("snapshot is not a dovetail registry")
     head = lines[0]
+    if not _well_formed(head, _REGISTRY_HEAD) or not all(
+        _well_formed(row, _REGISTRY_ROW) for row in lines[1:]
+    ):
+        raise ValueError("malformed dovetail registry snapshot")
     entries = {
         row["k"]: enumeration.RegistryEntry(
             row["program"], row["steps"], row["halted"], row["output_prefix"], row["truncated"]

@@ -7,157 +7,20 @@ target output.  True minimal lengths can only be smaller, so every reported
 value is an upper bound and every census fraction is an overestimate of the
 truly compressible fraction; the counting bound must hold regardless.
 
-Fork-on-read: rather than running each of the 3^L finite-mode strings from
-square 0, the searches walk the tape tree depth first, and a node resumes
-its parent's suspended run on the squares its next fetch needs, so every
-prefix runs once.  A finite-mode program halts when its run reaches the
-end of its tape, so each node whose run stops there is a halt to test as a
-witness, and its children go on from that state.  A HALT ends the run for
-every extension, so it closes the subtree.  A run that dies kills the
-subtree, since every extension replays it; the deaths are proofs:
-
-* a wrong or surplus output symbol cannot be recovered (output never
-  shrinks);
-* the step budget runs out;
-* an exact repeat of (ip, register, anchor, output length) is a cycle;
-* revisiting (ip, anchor, output length) with a register that has grown
-  and never touched zero in between diverges (the zero tests SKIPZ/LOOP
-  and DEC saturation are the only register-sensitive branches, so the
-  shifted replay makes the register climb forever).
-
-The cycle and divergence records start afresh at every resume: a resume
-executes only instructions already on the tape, so what it proves holds on
-every extension.  That changes only when a run is abandoned, never a
-result.  Visiting children in symbol order meets the nodes of one length
-in lexicographic order, and once a witness of length k is found only
-shorter nodes are visited, so the last witness found is the shortlex-first.
+The searches and the census walk the finite-mode tape tree once
+(machine._witnesses), so every program prefix runs once and a run that dies
+(wrong output, budget, cycle, divergence) kills its whole subtree; the
+pruning proofs sit with the loop in the machine module docstring.  Once a
+witness of length k is found only shorter nodes are visited, so the last
+witness found is the shortlex-first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .enumeration import programs
-from .machine import check_inputs, to_ints, to_str
-
-_WARMUP = 16  # steps before the loop detector engages
-# every string of m symbols in reverse lexicographic order, for m = 1..4: a
-# suspended run needs one to four more squares (four after a SKIPZ over the
-# tape's end) before its next fetch
-_TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in range(1, 5)}
-
-
-def _resume(tape, budget, cap, target=None, aux=None, state=None):
-    """Run a FINITE-mode tape, from square 0 or from a suspended state.
-
-    Output is checked as it grows: at most cap symbols, each agreeing with
-    target when one is given.  aux switches on T3C semantics (',,' appends
-    the whole aux tape).  Returns (out, state):
-
-    * the run reached the end of the tape, a finite halt: (out, the
-      suspended state (ip, reg, anchor, out, steps)), which resumes on the
-      tape extended by more squares as a run of that tape from square 0;
-    * HALT: (out, None);
-    * the run died (see the module docstring): (None, None).
-    """
-    n = len(tape)
-    if state is None:
-        ip = reg = anchor = steps = 0
-        out = ()
-    else:
-        ip, reg, anchor, out, steps = state
-    k = len(out)
-    last_zero = 0
-    seen = None
-    while steps < budget:
-        if ip >= n - 1:
-            return out, (ip, reg, anchor, out, steps)
-        if steps >= _WARMUP:
-            if seen is None:
-                seen = {}
-            key = (ip, anchor, k)
-            hit = seen.get(key)
-            if hit is None:
-                seen[key] = (reg, steps)
-            else:
-                reg0, step0 = hit
-                if reg == reg0:
-                    return None, None  # exact state repeat: cycles forever
-                if reg > reg0 and reg0 >= 1 and last_zero < step0:
-                    return None, None  # register climbs without a zero: diverges
-                if reg < reg0:
-                    seen[key] = (reg, steps)
-        op = tape[ip] * 3 + tape[ip + 1]
-        ip += 2
-        steps += 1
-        if op < 3:
-            if k >= cap or (target is not None and target[k] != op):
-                return None, None
-            out += (op,)
-            k += 1
-        elif op == 3:
-            reg += 1
-        elif op == 4:
-            if reg:
-                reg -= 1
-                if reg == 0:
-                    last_zero = steps
-        elif op == 5:
-            if reg == 0:
-                ip += 2
-        elif op == 6:
-            if reg:
-                ip = anchor
-        elif op == 7:
-            return out, None
-        elif aux is not None:
-            if aux:
-                j = k + len(aux)
-                if j > cap or (target is not None and target[k:j] != aux):
-                    return None, None
-                out += aux
-                k = j
-        else:
-            anchor = ip
-    return None, None
-
-
-def _witnesses(max_len, budget, cap, target=None, aux=None, prefix=(), shortest=False):
-    """Yield (program, output) for the programs of length <= max_len that
-    start with prefix and whose FINITE run halts within budget printing
-    exactly cap symbols (agreeing with target when one is given), in
-    lexicographic order.  A program whose run never fetches from its last
-    square halts as the prefix without that square does, so the walk skips
-    it: the shortest such prefix, met first, stands for it.  With shortest,
-    each witness yielded is shorter than the one before, and the last is
-    the shortlex-first."""
-    tape = list(prefix)
-    depth = len(tape)
-    out, state = _resume(tape, budget, cap, target, aux)
-    limit = max_len
-    # pending nodes as (the squares past the parent, parent state), pushed
-    # in reverse so that the lexicographically first comes off the stack
-    # first; the suspended fetch reads squares ip and ip+1, so the run moves
-    # again only at depth ip+2
-    stack = []
-    while True:
-        if out is not None and depth <= limit:
-            if len(out) == cap:
-                yield to_str(tape), out
-                if shortest:
-                    limit = depth - 1
-            if state is not None and state[0] + 2 <= limit:
-                stack += [(squares, state) for squares in _TAILS[state[0] + 2 - depth]]
-        if not stack:
-            return
-        squares, state = stack.pop()
-        depth = state[0] + 2
-        if depth > limit:  # a shorter witness was found since the push
-            out = None
-            continue
-        tape[depth - len(squares) :] = squares
-        out, state = _resume(tape, budget, cap, target, aux, state)
+from .machine import _witnesses, check_inputs, to_ints
 
 
 @dataclass

@@ -39,9 +39,30 @@ A lazy tape can also be source-fed: run_lazy_sampled reads a caller's
 symbol iterator one square at a time, and prior's Monte Carlo sampler fills
 squares from random bits.  Fixed, source-fed and sampled tapes all run
 through one interpreter core, _run_ints; a source that runs dry ends the
-tape like the end of a fixed program string.  A run that stops at the end
-of its tape can be resumed on a longer one, which is how prior's canonical
-sweep runs every program prefix once.
+tape like the end of a fixed program string.
+
+Exhaustive sweeps (prior's canonical programs, complexity's searches and
+census) do not run each of the 3^L tape strings from square 0.  _witnesses
+walks the tape tree depth first, and a node resumes its parent's suspended
+run in _resume, the one other fetch-decode loop, on the squares its next
+fetch reads, so every prefix runs once.  A run that dies kills the whole
+subtree, since every extension replays it; the deaths are proofs:
+
+* a wrong or surplus output symbol cannot be recovered (output never
+  shrinks);
+* the step budget runs out;
+* an exact repeat of (ip, anchor, register) is a cycle;
+* revisiting (ip, anchor) with a register that has grown and never touched
+  zero in between diverges (the zero tests SKIPZ/LOOP and DEC saturation
+  are the only register-sensitive branches, so the shifted replay makes
+  the register climb forever).
+
+No instruction reads the output, so the loop records leave its length out:
+a repeat loops forever whatever it prints, and keying on the length would
+let a printing loop run on until the budget.  The records start afresh at
+every resume: a resume executes only instructions already on the tape, so
+what it proves holds on every extension.  Neither choice changes a
+result, only when a run is abandoned.
 
 A program is *canonical* when its lazy-mode run halts having consumed
 exactly its own length.  Canonical programs are prefix-free by
@@ -52,6 +73,7 @@ consumed, so no proper extension can be canonical.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 SYMBOLS = "01,"
 _IDX = {"0": 0, "1": 1, ",": 2}
@@ -130,37 +152,20 @@ def _extend(tape, upto, draw):
     return len(tape)
 
 
-def _run_ints(
-    prog, max_steps, finite, readaux, aux, out_cap=None, draw=None, state=None
-):
+def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
     """Core fetch-decode-execute loop on int symbol sequences.
 
-    Returns (out_ints, halted, consumed, steps, truncated, suspended).
+    Returns (out_ints, halted, consumed, steps, truncated).
     readaux=True gives T3C semantics for opcode ',,'.  out_cap stops output
     growth at the cap (execution continues) and flips the truncated flag.
     With draw, prog is a list that grows by draw() blocks whenever the head
     (a fetch or a SKIPZ) needs a square past its end, so each square is
     filled on first visit; a StopIteration from draw ends the tape there.
-
-    suspended is None unless the run stopped at the end of its tape: then
-    it is the machine state there, (ip, reg, anchor, consumed, steps,
-    truncated, out).  Passing it back as state, with prog extended by more
-    squares, resumes the run where it stopped; the result equals a run of
-    the extended tape from square 0, so a sweep over all tapes can fork one
-    suspended state per next symbol instead of re-running each prefix.  A
-    resumed run copies out, so one state can be resumed several times.
     """
     n = len(prog)
-    if state is None:
-        ip = reg = anchor = consumed = steps = 0
-        truncated = False
-        out: list[int] = []
-    else:
-        ip, reg, anchor, consumed, steps, truncated, out = state
-        out = list(out)
-        c = ip if ip <= n else n  # squares a pending skip moved over
-        if c > consumed:
-            consumed = c
+    ip = reg = anchor = consumed = steps = 0
+    truncated = False
+    out: list[int] = []
     while steps < max_steps:
         if ip >= n - 1:
             if draw is not None:
@@ -170,8 +175,7 @@ def _run_ints(
                 # tape (not a real halt) in lazy mode
                 if ip == n - 1:
                     consumed = n  # the lone trailing symbol is consumed
-                suspended = (ip, reg, anchor, consumed, steps, truncated, out)
-                return out, finite, consumed, steps, truncated, suspended
+                return out, finite, consumed, steps, truncated
         op = prog[ip] * 3 + prog[ip + 1]
         ip += 2
         if ip > consumed:
@@ -199,7 +203,7 @@ def _run_ints(
             if reg:
                 ip = anchor
         elif op == _HALT:
-            return out, True, consumed, steps, truncated, None
+            return out, True, consumed, steps, truncated
         elif readaux:  # ',,' in T3C
             if aux:
                 if out_cap is None:
@@ -213,7 +217,139 @@ def _run_ints(
                         out.extend(aux)
         else:  # ',,' in T3: MARK
             anchor = ip
-    return out, False, consumed, steps, truncated, None
+    return out, False, consumed, steps, truncated
+
+
+_WARMUP = 16  # steps before the loop detector engages
+# every string of m symbols in reverse lexicographic order, for m = 1..4: a
+# suspended run needs one to four more squares (four after a SKIPZ over the
+# tape's end) before its next fetch
+_TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in range(1, 5)}
+
+
+def _resume(tape, budget, cap, target=None, aux=None, state=None):
+    """Run a tape from square 0 or from a suspended state, pruned.
+
+    Output is checked as it grows: at most cap symbols, each agreeing with
+    target when one is given.  aux switches on T3C semantics (',,' appends
+    the whole aux tape).  Returns (out, state):
+
+    * the run reached the end of the tape: (out, the suspended state
+      (ip, reg, anchor, out, steps)), which resumes on the tape extended by
+      more squares as a run of that tape from square 0;
+    * HALT: (out, None);
+    * the run died (see the module docstring): (None, None).
+    """
+    n = len(tape)
+    if state is None:
+        ip = reg = anchor = steps = 0
+        out = ()
+    else:
+        ip, reg, anchor, out, steps = state
+    k = len(out)
+    last_zero = 0
+    seen = None
+    while steps < budget:
+        if ip >= n - 1:
+            return out, (ip, reg, anchor, out, steps)
+        if steps >= _WARMUP:
+            if seen is None:
+                seen = {}
+            key = (ip, anchor)
+            hit = seen.get(key)
+            if hit is None:
+                seen[key] = (reg, steps)
+            else:
+                reg0, step0 = hit
+                if reg == reg0:
+                    return None, None  # exact state repeat: cycles forever
+                if reg > reg0 and reg0 >= 1 and last_zero < step0:
+                    return None, None  # register climbs without a zero: diverges
+                if reg < reg0:
+                    seen[key] = (reg, steps)
+        op = tape[ip] * 3 + tape[ip + 1]
+        ip += 2
+        steps += 1
+        if op < 3:  # OUT0 / OUT1 / OUTC
+            if k >= cap or (target is not None and target[k] != op):
+                return None, None
+            out += (op,)
+            k += 1
+        elif op == _INC:
+            reg += 1
+        elif op == _DEC:
+            if reg:
+                reg -= 1
+                if reg == 0:
+                    last_zero = steps
+        elif op == _SKIPZ:
+            if reg == 0:
+                ip += 2
+        elif op == _LOOP:
+            if reg:
+                ip = anchor
+        elif op == _HALT:
+            return out, None
+        elif aux is not None:  # ',,' in T3C
+            if aux:
+                j = k + len(aux)
+                if j > cap or (target is not None and target[k:j] != aux):
+                    return None, None
+                out += aux
+                k = j
+        else:  # ',,' in T3: MARK
+            anchor = ip
+    return None, None
+
+
+def _witnesses(
+    max_len, budget, cap, target=None, aux=None, prefix=(), shortest=False, mode=FINITE
+):
+    """Walk the tape tree of the programs of length <= max_len that start
+    with prefix, and yield (program, output) for each halt in
+    lexicographic order.
+
+    * FINITE: a node halts when its run reaches the end of its tape or runs
+      HALT, and it is yielded when it printed exactly cap symbols
+      (agreeing with target when one is given).  A program whose run never
+      fetches from its last square halts as the prefix without that square
+      does, so the walk skips it: the shortest such prefix, met first,
+      stands for it.
+    * LAZY: only a HALT node halts, and each is yielded: it is canonical,
+      since a node resumes its parent's run only at the depth where the
+      next fetch reads the last square.  cap = budget leaves T3 output
+      unlimited.
+
+    With shortest, each node yielded is shorter than the one before, and
+    the last is the shortlex-first.
+    """
+    finite = mode == FINITE
+    tape = list(prefix)
+    depth = len(tape)
+    out, state = _resume(tape, budget, cap, target, aux)
+    limit = max_len
+    # pending nodes as (the squares past the parent, parent state), pushed
+    # in reverse so that the lexicographically first comes off the stack
+    # first; the suspended fetch reads squares ip and ip+1, so the run moves
+    # again only at depth ip+2
+    stack = []
+    while True:
+        if out is not None and depth <= limit:
+            if (len(out) == cap) if finite else (state is None):
+                yield to_str(tape), out
+                if shortest:
+                    limit = depth - 1
+            if state is not None and state[0] + 2 <= limit:
+                stack += [(squares, state) for squares in _TAILS[state[0] + 2 - depth]]
+        if not stack:
+            return
+        squares, state = stack.pop()
+        depth = state[0] + 2
+        if depth > limit:  # a shorter witness was found since the push
+            out = None
+            continue
+        tape[depth - len(squares) :] = squares
+        out, state = _resume(tape, budget, cap, target, aux, state)
 
 
 def run(
@@ -243,7 +379,7 @@ def run(
         return _run_dual(program, prog, max_steps, finite, out_cap)
 
     aux_ints = to_ints(aux) if aux is not None else None
-    out, halted, consumed, steps, truncated, _ = _run_ints(
+    out, halted, consumed, steps, truncated = _run_ints(
         prog, max_steps, finite, variant == T3C, aux_ints, out_cap
     )
     return RunResult(
@@ -258,7 +394,7 @@ def _run_dual(program, prog, max_steps, finite, out_cap):
     sel = prog[0]
     if sel == 2:  # ',' selector: halt with empty output
         return RunResult(program, "", HALTED, 1, 1)
-    out, halted, consumed, steps, truncated, _ = _run_ints(
+    out, halted, consumed, steps, truncated = _run_ints(
         prog[1:], max_steps - 1, finite, False, None, out_cap
     )
     if sel == 1:  # swapped table: OUT0 emits '1', OUT1 emits '0'
@@ -285,7 +421,7 @@ def run_lazy_sampled(source, max_steps: int) -> RunResult:
     check_inputs(max_steps)
     next_symbol = source.__next__ if hasattr(source, "__next__") else source
     tape: list[int] = []
-    out, halted, consumed, steps, _, _ = _run_ints(
+    out, halted, consumed, steps, _ = _run_ints(
         tape, max_steps, False, False, None, draw=lambda: (_IDX[next_symbol()],)
     )
     return RunResult(

@@ -64,7 +64,7 @@ def _run_guess(rng: random.Random, max_steps: int) -> str | None:
     one getrandbits(62) block at a time.
     """
     getrb = rng.getrandbits
-    out, halted, _, _, _, _ = machine._run_ints(
+    out, halted, _, _, _ = machine._run_ints(
         [], max_steps, False, False, None, draw=lambda: _block_symbols(getrb(62))
     )
     return to_str(out) if halted else None
@@ -144,13 +144,10 @@ def canonical_programs(max_len: int, budget: int, variant: str = T3):
     """Yield (program, output) over canonical programs up to max_len,
     shortlex order.
 
-    Fork-on-read: rather than re-running each of the 3^max_len tape strings
-    from square 0, a depth-first walk over the tape tree resumes its
-    parent's suspended lazy run with one more square, so every prefix runs
-    once.  A halt at depth d is a canonical program of length d, and a halt
-    or an exhausted budget ends the node's whole subtree, since every
-    extension repeats that run.  Shortlex order comes from deepening one
-    length at a time.  A DUAL program is its selector symbol and then a T3
+    The lazy-mode tape-tree walk (machine._witnesses) runs every prefix
+    once and yields each canonical program it meets; shortlex order comes
+    from deepening one length at a time and keeping the programs of exactly
+    that length.  A DUAL program is its selector symbol and then a T3
     program run at budget - 1: ',' alone, then '0' + p, then '1' + p with
     the output's 0 and 1 swapped.
 
@@ -160,12 +157,12 @@ def canonical_programs(max_len: int, budget: int, variant: str = T3):
     machine.check_inputs(budget)
     if variant == T3:
         for length in range(1, max_len + 1):
-            yield from _canonical_t3(length, budget)
+            yield from _canonical_level(length, budget)
     elif variant == DUAL:
         if max_len >= 1:
             yield ",", ""
         for length in range(1, max_len):
-            level = list(_canonical_t3(length, budget - 1))
+            level = list(_canonical_level(length, budget - 1))
             for p, out in level:
                 yield "0" + p, out
             for p, out in level:
@@ -174,33 +171,12 @@ def canonical_programs(max_len: int, budget: int, variant: str = T3):
         raise ValueError(f"no canonical programs for variant {variant!r}")
 
 
-def _canonical_t3(length: int, budget: int):
+def _canonical_level(length: int, budget: int):
     """(program, output) of every canonical T3 program of exactly this
-    length, in lexicographic order, by the fork-on-read tape-tree walk."""
-    run_ints = machine._run_ints
-    tape: list[int] = []
-    root = run_ints(tape, budget, False, False, None)[5]  # None at budget 0
-    # pending children as (depth of the parent, next symbol, parent state),
-    # pushed in reverse so that symbol 0 comes off the stack first
-    stack = [(0, 2, root), (0, 1, root), (0, 0, root)] if root else []
-    push = stack.extend
-    while stack:
-        depth, symbol, state = stack.pop()
-        del tape[depth:]
-        tape.append(symbol)
-        depth += 1
-        # state[0] is the ip of the suspended fetch, which reads squares ip
-        # and ip+1: until the tape holds both, resuming would change nothing
-        if state[0] + 1 < depth:
-            out, halted, _, _, _, state = run_ints(
-                tape, budget, False, False, None, None, None, state
-            )
-            if state is None:  # halted or out of budget: the subtree is done
-                if halted and depth == length:
-                    yield to_str(tape), to_str(out)
-                continue
-        if depth < length:
-            push(((depth, 2, state), (depth, 1, state), (depth, 0, state)))
+    length, in lexicographic order."""
+    for p, out in machine._witnesses(length, budget, budget, mode=LAZY):
+        if len(p) == length:
+            yield p, to_str(out)
 
 
 def enumerate_prior(
@@ -376,17 +352,14 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
         if base.output != hosted.output:
             out_bad.append(p)
 
-    t3_mass: dict[str, Fraction] = {}
+    # masses per output as integers: T3 in units of 3^-top, DUAL in units
+    # of 3^-(top+1), so a third of the T3 mass is t3_w in DUAL units
+    top = max(max_len, 0)
+    t3_w: dict[str, int] = {}
     for p, out in canonical_programs(max_len, budget, T3):
-        t3_mass[out] = t3_mass.get(out, Fraction(0)) + Fraction(1, 3 ** len(p))
-    dual_mass: dict[str, Fraction] = {}
+        t3_w[out] = t3_w.get(out, 0) + 3 ** (top - len(p))
+    dual_w: dict[str, int] = {}
     for p, out in canonical_programs(max_len + 1, budget, DUAL):
-        dual_mass[out] = dual_mass.get(out, Fraction(0)) + Fraction(1, 3 ** len(p))
-    mass_bad = [
-        t
-        for t, m in sorted(t3_mass.items())
-        if dual_mass.get(t, Fraction(0)) < Fraction(m, 3)
-    ]
-    return CompilerCheckReport(
-        max_len, budget, checked, out_bad, len(t3_mass), mass_bad
-    )
+        dual_w[out] = dual_w.get(out, 0) + 3 ** (top + 1 - len(p))
+    mass_bad = [t for t, w in sorted(t3_w.items()) if dual_w.get(t, 0) < w]
+    return CompilerCheckReport(max_len, budget, checked, out_bad, len(t3_w), mass_bad)

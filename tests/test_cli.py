@@ -124,6 +124,19 @@ def test_dedup_rejects_non_registry_file(tmp_path, capsys):
         capsys, "dedup", "--snapshot", str(tmp_path / "missing.jsonl"), "--prefix-len", "2"
     )
     assert code == 2
+    head = {
+        "schema": 1, "kind": "dovetail-registry", "cap": 64,
+        "requested_steps": 10, "executed_steps": 10, "mode": "finite",
+    }
+    malformed = (
+        "[1, 2]\n",  # not an object
+        json.dumps(head) + "\n[1]\n",  # a row that is not an object
+        json.dumps(head | {"cap": "x"}) + "\n",  # a header field of the wrong type
+    )
+    for text in malformed:
+        bad.write_text(text)
+        code, _ = run_cli(capsys, "dedup", "--snapshot", str(bad), "--prefix-len", "2")
+        assert code == 2, text
 
 
 def test_census(capsys):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from omni import complexity, machine
+from omni import machine
 from omni.complexity import (
     compressibility_census,
     conditional_upper_bound,
@@ -123,4 +123,4 @@ def test_match_search_agrees_with_plain_runner(p, target, budget):
     r = machine.run(p, budget)
     expected = r.halted and r.output == target
     t = tuple(machine.to_ints(target))
-    assert (complexity._resume(machine.to_ints(p), budget, len(t), t)[0] == t) == expected
+    assert (machine._resume(machine.to_ints(p), budget, len(t), t)[0] == t) == expected

@@ -130,22 +130,25 @@ def test_is_canonical():
     assert not machine.is_canonical("", 10)
 
 
-@pytest.mark.parametrize("finite", (True, False))
+@pytest.mark.parametrize("targeted", (True, False))
 @pytest.mark.parametrize(
     "readaux, aux, out_cap", [(False, None, None), (True, [0, 2], None), (False, None, 1)]
 )
-def test_resumed_run_equals_a_fresh_run(finite, readaux, aux, out_cap):
-    # start on a prefix, then resume each suspended state with one more
-    # square: the last result, suspended state included, equals one run of
+def test_resumed_run_equals_a_fresh_run(targeted, readaux, aux, out_cap):
+    # start on a prefix, then resume each suspended state the way the
+    # tape-tree walk does, on the tape grown to the square its next fetch
+    # reads: the last result, suspended state included, equals one run of
     # the whole program from square 0
+    aux = tuple(aux) if readaux else None
+    cap = 100 if out_cap is None else out_cap
+    target = ((0, 2) * 50)[:cap] if targeted else None
     for prog in programs(6):
-        want = machine._run_ints(list(prog), 40, finite, readaux, aux, out_cap)
+        want = machine._resume(prog, 40, cap, target, aux)
         for cut in range(len(prog)):
-            tape = list(prog[:cut])
-            got = machine._run_ints(tape, 40, finite, readaux, aux, out_cap)
-            while got[5] is not None and len(tape) < len(prog):
-                tape.append(prog[len(tape)])
-                got = machine._run_ints(tape, 40, finite, readaux, aux, out_cap, state=got[5])
+            got = machine._resume(prog[:cut], 40, cap, target, aux)
+            while got[1] is not None and got[1][0] + 2 <= len(prog):
+                state = got[1]
+                got = machine._resume(prog[: state[0] + 2], 40, cap, target, aux, state)
             assert got == want, (prog, cut)
 
 

@@ -3,6 +3,7 @@ reference interpreter in reference_machine."""
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from reference_machine import (
@@ -75,12 +76,12 @@ def test_pruned_searchers_match_reference_on_all_short_programs(budget):
             aux_ints = None if aux is None else tuple(machine.to_ints(aux))
             for target in {out, out + "0", out[:-1], "", "0", "1,0"}:
                 t = tuple(machine.to_ints(target))
-                got = complexity._resume(ints, budget, len(t), t, aux_ints)[0] == t
+                got = machine._resume(ints, budget, len(t), t, aux_ints)[0] == t
                 assert got == (halted and out == target), (p, budget, aux, target)
             if aux is None:
                 for max_out in (0, 1, 3):
                     want = tuple(machine.to_ints(out)) if halted and len(out) <= max_out else None
-                    assert complexity._resume(ints, budget, max_out)[0] == want, (p, budget)
+                    assert machine._resume(ints, budget, max_out)[0] == want, (p, budget)
 
 
 @pytest.mark.parametrize("variant", (T3, DUAL))
@@ -125,7 +126,7 @@ def test_first_witness_walk_from_a_prefix_past_the_warm_up(prefix):
     for target in sorted(targets):
         t = tuple(machine.to_ints(target))
         witness = None
-        for witness, _ in complexity._witnesses(
+        for witness, _ in machine._witnesses(
             max_len, 300, len(t), t, prefix=ints, shortest=True
         ):
             pass
@@ -173,9 +174,9 @@ def _check_searchers_on_bodies(prefix, budget=300):
         halted = status == machine.HALTED
         ints = machine.to_ints(p)
         t = tuple(machine.to_ints(out))
-        assert (complexity._resume(ints, budget, len(t), t)[0] == t) == halted, p
+        assert (machine._resume(ints, budget, len(t), t)[0] == t) == halted, p
         want = t if halted else None
-        assert complexity._resume(ints, budget, len(out))[0] == want, p
+        assert machine._resume(ints, budget, len(out))[0] == want, p
 
 
 def test_pruned_searchers_match_reference_past_the_warm_up():
@@ -220,8 +221,24 @@ def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
     assert status == machine.BUDGET
     ints = machine.to_ints(p)
     budget = _StepLimit(10**6, limit=100)
-    assert complexity._resume(ints, budget, 0, ())[0] is None
+    assert machine._resume(ints, budget, 0, ())[0] is None
     assert 0 < budget.checks
     budget = _StepLimit(10**6, limit=100)
-    assert complexity._resume(ints, budget, 3)[0] is None
+    assert machine._resume(ints, budget, 3)[0] is None
+    assert 0 < budget.checks
+
+
+def test_pruned_searchers_abandon_a_printing_loop():
+    # INC MARK OUT0 LOOP prints forever: no instruction reads the output, so
+    # the loop records leave its length out and see the repeat at once
+    budget = _StepLimit(10**6, limit=100)
+    assert machine._resume(machine.to_ints("10,,00,0"), budget, 10**6)[0] is None
+    assert 0 < budget.checks
+
+
+def test_canonical_walk_abandons_printing_loops():
+    # the printing loops among the programs of up to 8 symbols die as
+    # cycles instead of running to the budget; the mass is the one at B = 1000
+    budget = _StepLimit(10**6, limit=50_000)
+    assert prior.kraft_sum(8, budget).total_mass == Fraction(2279, 6561)
     assert 0 < budget.checks
