@@ -45,7 +45,6 @@ from .machine import (
     RunResult,
     is_canonical,
     run,
-    run_lazy_sampled,
 )
 from .multiverse import (
     END_MARKER,

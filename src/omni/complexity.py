@@ -18,9 +18,11 @@ witness found is the shortlex-first.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .enumeration import programs
 from .machine import _witnesses, check_inputs, to_ints
+from .workers import parallel_map
 
 
 @dataclass
@@ -147,10 +149,6 @@ def compressibility_census(
     if n < 1 or c < 1:
         raise ValueError("n and c must be >= 1")
     check_inputs(budget)
-    from functools import partial
-
-    from .workers import parallel_map
-
     top = min(max_len, n - c - 1)
     subtrees = parallel_map(
         partial(_census_outputs, n, top, budget), programs(2, min_len=2), workers

@@ -35,18 +35,14 @@ Run modes:
             (or, for a fixed program string, out of symbols) gives status
             'budget' with the partial output.
 
-A lazy tape can also be source-fed: run_lazy_sampled reads a caller's
-symbol iterator one square at a time, and prior's Monte Carlo sampler fills
-squares from random bits.  Fixed, source-fed and sampled tapes all run
-through one interpreter core, _run_ints; a source that runs dry ends the
-tape like the end of a fixed program string.
-
-Exhaustive sweeps (prior's canonical programs, complexity's searches and
-census) do not run each of the 3^L tape strings from square 0.  _witnesses
-walks the tape tree depth first, and a node resumes its parent's suspended
-run in _resume, the one other fetch-decode loop, on the squares its next
-fetch reads, so every prefix runs once.  A run that dies kills the whole
-subtree, since every extension replays it; the deaths are proofs:
+Two fetch-decode loops run everything.  _run_ints, the interpreter core,
+runs fixed program strings only.  Exhaustive sweeps (prior's canonical
+programs, complexity's searches and census) do not run each of the 3^L
+tape strings from square 0.  _witnesses walks the tape tree depth first,
+and a node resumes its parent's suspended run in _resume, the other loop,
+on the squares its next fetch reads, so every prefix runs once.  A run
+that dies kills the whole subtree, since every extension replays it; the
+deaths are proofs:
 
 * a wrong or surplus output symbol cannot be recovered (output never
   shrinks);
@@ -63,6 +59,14 @@ let a printing loop run on until the budget.  The records start afresh at
 every resume: a resume executes only instructions already on the tape, so
 what it proves holds on every extension.  Neither choice changes a
 result, only when a run is abandoned.
+
+prior's Monte Carlo sampler runs on _resume too, with a draw that fills the
+tape from random bits: a guessed run that reaches the end of its tape draws
+more squares and runs on, in order, so square j is symbol j of the stream.
+A drawn square never changes, so the same proofs end a guess early; with
+the longest target's length as the output cap, a guess dies at its first
+symbol past the longest target, at the budget, or on a cycle or
+divergence, and none of those could score.
 
 A program is *canonical* when its lazy-mode run halts having consumed
 exactly its own length.  Canonical programs are prefix-free by
@@ -97,7 +101,6 @@ class RunResult:
     """Outcome of one run.
 
     consumed counts tape squares the head visited (highest index + 1).
-    For lazy sampled runs, program holds the realized visited prefix.
     """
 
     program: str
@@ -141,26 +144,12 @@ def check_inputs(max_steps: int, *texts: str) -> None:
         to_ints(t)
 
 
-def _extend(tape, upto, draw):
-    """Fill the tape with draw() blocks up to at least upto squares; a
-    source running dry (StopIteration) leaves it shorter.  New length."""
-    try:
-        while len(tape) < upto:
-            tape.extend(draw())
-    except StopIteration:
-        pass
-    return len(tape)
-
-
-def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
-    """Core fetch-decode-execute loop on int symbol sequences.
+def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None):
+    """Core fetch-decode-execute loop on a fixed int symbol sequence.
 
     Returns (out_ints, halted, consumed, steps, truncated).
     readaux=True gives T3C semantics for opcode ',,'.  out_cap stops output
     growth at the cap (execution continues) and flips the truncated flag.
-    With draw, prog is a list that grows by draw() blocks whenever the head
-    (a fetch or a SKIPZ) needs a square past its end, so each square is
-    filled on first visit; a StopIteration from draw ends the tape there.
     """
     n = len(prog)
     ip = reg = anchor = consumed = steps = 0
@@ -168,14 +157,11 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
     out: list[int] = []
     while steps < max_steps:
         if ip >= n - 1:
-            if draw is not None:
-                n = _extend(prog, ip + 2, draw)
-            if ip >= n - 1:
-                # off the end of the tape: a halt in finite mode, out of
-                # tape (not a real halt) in lazy mode
-                if ip == n - 1:
-                    consumed = n  # the lone trailing symbol is consumed
-                return out, finite, consumed, steps, truncated
+            # off the end of the tape: a halt in finite mode, out of tape
+            # (not a real halt) in lazy mode
+            if ip == n - 1:
+                consumed = n  # the lone trailing symbol is consumed
+            return out, finite, consumed, steps, truncated
         op = prog[ip] * 3 + prog[ip + 1]
         ip += 2
         if ip > consumed:
@@ -194,8 +180,6 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None, draw=None):
         elif op == _SKIPZ:
             if reg == 0:
                 ip += 2
-                if ip > n and draw is not None:
-                    n = _extend(prog, ip, draw)
                 c = ip if ip <= n else n
                 if c > consumed:
                     consumed = c
@@ -227,12 +211,14 @@ _WARMUP = 16  # steps before the loop detector engages
 _TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in range(1, 5)}
 
 
-def _resume(tape, budget, cap, target=None, aux=None, state=None):
+def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
     """Run a tape from square 0 or from a suspended state, pruned.
 
     Output is checked as it grows: at most cap symbols, each agreeing with
     target when one is given.  aux switches on T3C semantics (',,' appends
-    the whole aux tape).  Returns (out, state):
+    the whole aux tape).  With draw, tape is a list that grows by draw()
+    blocks whenever a fetch needs a square past its end, so the run never
+    reaches the end.  Returns (out, state):
 
     * the run reached the end of the tape: (out, the suspended state
       (ip, reg, anchor, out, steps)), which resumes on the tape extended by
@@ -251,7 +237,11 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None):
     seen = None
     while steps < budget:
         if ip >= n - 1:
-            return out, (ip, reg, anchor, out, steps)
+            if draw is None:
+                return out, (ip, reg, anchor, out, steps)
+            while n < ip + 2:
+                tape += draw()
+                n = len(tape)
         if steps >= _WARMUP:
             if seen is None:
                 seen = {}
@@ -406,26 +396,6 @@ def _run_dual(program, prog, max_steps, finite, out_cap):
         consumed + 1,
         steps + 1,
         truncated,
-    )
-
-
-def run_lazy_sampled(source, max_steps: int) -> RunResult:
-    """Lazy run on an unbounded tape fed by `source` (iterator of symbols).
-
-    Squares are filled on first visit only, including squares SKIPZ moves
-    over.  On halt, the visited prefix is the realized program; by the
-    canonical-program argument it is prefix-free against every other
-    realizable halting program.  A finite source running dry counts as
-    starvation, same as a fixed program read past its end in lazy mode.
-    """
-    check_inputs(max_steps)
-    next_symbol = source.__next__ if hasattr(source, "__next__") else source
-    tape: list[int] = []
-    out, halted, consumed, steps, _ = _run_ints(
-        tape, max_steps, False, False, None, draw=lambda: (_IDX[next_symbol()],)
-    )
-    return RunResult(
-        to_str(tape), to_str(out), HALTED if halted else BUDGET, consumed, steps
     )
 
 

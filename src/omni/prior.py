@@ -4,6 +4,10 @@ Monte Carlo route: run the machine lazily while filling each tape square on
 first visit with a uniformly random symbol (probability 1/3 each).  The
 fraction of runs that halt within the budget and print the target estimates
 its prior mass from below (runs that would need more steps count as misses).
+Each guess runs on the walk's pruned loop, machine._resume, and dies at its
+first output symbol past the longest target, at the budget, or on a proven
+cycle or divergence: such a run cannot score, and every sample draws from
+its own generator, so stopping one early changes no hit.
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target.  Canonical means the lazy run halts
@@ -57,17 +61,21 @@ def _block_symbols(block: int) -> bytes:
     )
 
 
-def _run_guess(rng: random.Random, max_steps: int) -> str | None:
-    """Output of one guessed run, or None if it does not halt in budget.
+def _guess(rng: random.Random, budget: int, cap: int) -> tuple | None:
+    """Output ints of one guessed run, or None if it does not halt in budget
+    with at most cap output symbols.
 
     A lazy machine run whose tape squares are uniform random symbols, drawn
     one getrandbits(62) block at a time.
     """
     getrb = rng.getrandbits
-    out, halted, _, _, _ = machine._run_ints(
-        [], max_steps, False, False, None, draw=lambda: _block_symbols(getrb(62))
-    )
-    return to_str(out) if halted else None
+    return machine._resume([], budget, cap, draw=lambda: _block_symbols(getrb(62)))[0]
+
+
+def _run_guess(rng: random.Random, max_steps: int) -> str | None:
+    """Output of one guessed run, or None if it does not halt in budget."""
+    out = _guess(rng, max_steps, max_steps)
+    return None if out is None else to_str(out)
 
 
 @dataclass
@@ -96,13 +104,15 @@ class PriorEstimate:
 
 
 def _mc_chunk(targets, budget, seed, bounds):
+    """Hits per target among samples lo..hi-1 (targets distinct)."""
     lo, hi = bounds
-    hit_for = {t: 0 for t in targets}
+    hit_for = {tuple(machine.to_ints(t)): 0 for t in targets}
+    cap = max(map(len, targets), default=0)
     for i in range(lo, hi):
-        out = _run_guess(random.Random(sample_seed(seed, i)), budget)
-        if out is not None and out in hit_for:
+        out = _guess(random.Random(sample_seed(seed, i)), budget, cap)
+        if out in hit_for:
             hit_for[out] += 1
-    return [hit_for[t] for t in targets]
+    return list(hit_for.values())
 
 
 def estimate_prior_mc_batch(
@@ -119,7 +129,9 @@ def estimate_prior_mc_batch(
         raise ValueError("samples must be >= 1")
     machine.check_inputs(budget, *targets)
     uniq = list(dict.fromkeys(targets))
-    chunk = max(1, min(samples, 50_000))
+    # about four chunks per worker, so the workers finish together (a
+    # worker count below 1 is parallel_map's to refuse)
+    chunk = min(50_000, -(-samples // (4 * max(workers, 1))))
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
     parts = parallel_map(partial(_mc_chunk, uniq, budget, seed), bounds, workers)
     totals = [sum(col) for col in zip(*parts)]

@@ -152,22 +152,27 @@ def test_resumed_run_equals_a_fresh_run(targeted, readaux, aux, out_cap):
             assert got == want, (prog, cut)
 
 
-def test_run_lazy_sampled_scripted_source():
-    r = machine.run_lazy_sampled(iter("000,01,1" + ",,,,,,"), 50)
-    assert (r.output, r.status) == ("0,1", HALTED)
-    assert r.program == "000,01,1"  # realized tape is the consumed prefix
-    out_of_symbols = machine.run_lazy_sampled(iter("00"), 50)
-    assert out_of_symbols.status == BUDGET
+def _draw_from(source):
+    """A draw that reads a symbol iterator one square at a time."""
+    return lambda: machine.to_ints(next(source))
+
+
+def test_drawn_tape_scripted_source():
+    tape = []
+    out, state = machine._resume(tape, 50, 50, draw=_draw_from(iter("000,01,1" + ",,,,,,")))
+    assert (machine.to_str(out), state) == ("0,1", None)
+    assert machine.to_str(tape) == "000,01,1"  # squares are drawn on first visit only
+    # without a draw, a run out of symbols suspends instead of halting
+    assert machine._resume(machine.to_ints("00"), 50, 50)[1] is not None
 
 
 @given(programs_st)
 @settings(max_examples=200)
 def test_sampled_run_agrees_with_fixed_lazy_run(p):
     source = itertools.chain(iter(p), itertools.repeat(","))
-    sampled = machine.run_lazy_sampled(source, 64)
+    sampled = machine._resume([], 64, 64, draw=_draw_from(source))[0]
     fixed = run(p + "," * 130, 64, LAZY)
-    assert sampled.status == fixed.status
-    assert sampled.output == fixed.output
+    assert sampled == (tuple(machine.to_ints(fixed.output)) if fixed.halted else None)
 
 
 @given(programs_st, st.integers(min_value=1, max_value=30))

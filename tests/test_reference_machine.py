@@ -3,6 +3,7 @@ reference interpreter in reference_machine."""
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -54,11 +55,21 @@ def test_run_matches_reference_on_all_short_programs(budget):
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_source_fed_run_matches_reference_on_all_short_programs(budget):
-    # the program as a source that runs dry after its last symbol
+    # the program as a source that runs dry after its last symbol: the
+    # drawn run halts when the reference does, with its output and its
+    # squares, and otherwise dies or runs the source dry
     for p in ALL_UP_TO_6:
-        got = machine.run_lazy_sampled(iter(p), budget)
+        source = iter(machine.to_ints(p))
+        tape = []
+        try:
+            got = machine._resume(tape, budget, budget, draw=lambda: (next(source),))[0]
+        except StopIteration:
+            got = None
         want = reference_run(max_steps=budget, mode=LAZY, source=iter(p))
-        assert (got.program, *_fields(got)) == want, (p, budget)
+        if want[2] == machine.HALTED:
+            assert (machine.to_str(tape), got) == (want[0], tuple(machine.to_ints(want[1]))), p
+        else:
+            assert got is None, (p, budget)
         fixed = reference_run(p, budget, LAZY)
         assert want[1:4] == fixed[1:4], p  # same run as the fixed string
 
@@ -163,6 +174,29 @@ def test_guess_runner_matches_reference_on_seeded_samples(budget):
         assert got == (out if status == machine.HALTED else None), (i, budget)
 
 
+MC_BATCHES = ([], [""], ["0", "00", "000"], ["", "0", "1,"], [",", "0,", "1,0", "0000"])
+
+
+@pytest.mark.parametrize("budget", (7, 200))
+def test_mc_scorer_matches_reference_on_seeded_samples(budget):
+    # hits per target of the pruned scorer against the reference's halting
+    # outputs on the same streams; batches of 0 to 4 targets of 0 to 4
+    # symbols, shared prefixes among them, then the four commonest outputs
+    n = 2000
+    halts = Counter()
+    for i in range(n):
+        source = trinary_source(random.Random(prior.sample_seed(31, i)))
+        _, out, status, *_ = reference_run(max_steps=budget, mode=LAZY, source=source)
+        if status == machine.HALTED:
+            halts[out] += 1
+    common = [out for out, _ in halts.most_common(4)]
+    for targets in MC_BATCHES + (common,):
+        want = [halts[t] for t in targets]
+        assert prior._mc_chunk(targets, budget, 31, (0, n)) == want, targets
+        parts = [prior._mc_chunk(targets, budget, 31, b) for b in ((0, 700), (700, n))]
+        assert [a + b for a, b in zip(*parts)] == want, targets
+
+
 def _check_searchers_on_bodies(prefix, budget=300):
     # prefix, then every body of up to four instructions
     bodies = itertools.chain.from_iterable(
@@ -234,6 +268,15 @@ def test_pruned_searchers_abandon_a_printing_loop():
     budget = _StepLimit(10**6, limit=100)
     assert machine._resume(machine.to_ints("10,,00,0"), budget, 10**6)[0] is None
     assert 0 < budget.checks
+
+
+def test_mc_scorer_abandons_a_guess_past_the_longest_target(monkeypatch):
+    # every tape is OUT0 forever, which no loop record sees: each guess must
+    # die at its third symbol, the first past the longest target
+    monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(62))
+    budget = _StepLimit(10**6, limit=3 * 5)
+    assert prior._mc_chunk(["0", "00"], budget, 0, (0, 5)) == [0, 0]
+    assert budget.checks == 3 * 5
 
 
 def test_canonical_walk_abandons_printing_loops():
