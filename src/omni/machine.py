@@ -61,8 +61,9 @@ what it proves holds on every extension.  Neither choice changes a
 result, only when a run is abandoned.
 
 prior's Monte Carlo sampler runs on _resume too, with a draw that fills the
-tape from random bits: a guessed run that reaches the end of its tape draws
-more squares and runs on, in order, so square j is symbol j of the stream.
+tape from the sample's splitmix64 stream: a guessed run that reaches the
+end of its tape draws a block of squares and runs on, in order, so square j
+is symbol j of the stream.
 A drawn square never changes, so the same proofs end a guess early; with
 the longest target's length as the output cap, a guess dies at its first
 symbol past the longest target, at the budget, or on a cycle or

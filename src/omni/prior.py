@@ -4,10 +4,13 @@ Monte Carlo route: run the machine lazily while filling each tape square on
 first visit with a uniformly random symbol (probability 1/3 each).  The
 fraction of runs that halt within the budget and print the target estimates
 its prior mass from below (runs that would need more steps count as misses).
-Each guess runs on the walk's pruned loop, machine._resume, and dies at its
-first output symbol past the longest target, at the budget, or on a proven
-cycle or divergence: such a run cannot score, and every sample draws from
-its own generator, so stopping one early changes no hit.
+Sample i reads a counter-based splitmix64 stream keyed by (seed, i): block
+b is a pure function of the key and b, so no generator is built per sample
+and no sample depends on another.  Each guess runs on the walk's pruned
+loop, machine._resume, and dies at its first output symbol past the
+longest target, at the budget, or on a proven cycle or divergence: such a
+run cannot score, and every sample reads its own stream, so stopping one
+early changes no hit.
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target.  Canonical means the lazy run halts
@@ -20,62 +23,91 @@ mass the enumeration truncates away.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import count
 
 from . import machine
 from .enumeration import programs
 from .machine import DUAL, HALTED, LAZY, T3, run, to_str
 from .workers import parallel_map
 
-_MIX1 = 0x9E3779B97F4A7C15
+_MIX1 = 0x9E3779B97F4A7C15  # splitmix64's increment (the golden gamma)
 _MIX2 = 0xBF58476D1CE4E5B9
+_MIX3 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
+_RNG = "splitmix64"  # the sample stream, named in every Monte Carlo report
 
 
 def sample_seed(seed: int, index: int) -> int:
-    """Per-sample generator seed; depends only on (master seed, index), so
-    worker partitioning cannot change any sample."""
+    """Per-sample seed; depends only on (master seed, index), so worker
+    partitioning cannot change any sample."""
     return (seed * _MIX1 + (index + 1) * _MIX2) & _U64
 
 
-# Symbols in one byte of generator bits, read as four 2-bit slices from the
+def mix64(z: int) -> int:
+    """splitmix64's finalizer (Steele, Lea & Flood, OOPSLA 2014) on z mod
+    2^64."""
+    z &= _U64
+    z = (z ^ z >> 30) * _MIX2 & _U64
+    z = (z ^ z >> 27) * _MIX3 & _U64
+    return z ^ z >> 31
+
+
+def _sample_key(seed: int, index: int) -> int:
+    """Key of sample index's stream."""
+    return mix64(sample_seed(seed, index))
+
+
+# Symbols in one byte of stream bits, read as four 2-bit slices from the
 # low bits up, with the fourth pattern (3) rejected.  bytes, not tuples: the
 # table is smaller and a block's symbols join into one bytes object.
 _BYTE_SYMBOLS = [
     bytes(v for v in (i & 3, i >> 2 & 3, i >> 4 & 3, i >> 6) if v != 3)
     for i in range(256)
 ]
-# A 62-bit block fills 7 bytes and the low 6 bits of the eighth; setting the
-# eighth byte's top slice to 3 rejects the slot the block does not have.
-_TOP_SLOT = 3 << 62
 
 
 def _block_symbols(block: int) -> bytes:
-    """Symbols in a 62-bit block: its 31 2-bit slices, low bits first,
+    """Symbols in a 64-bit block: its 32 2-bit slices, low bits first,
     with pattern 3 rejected."""
-    return b"".join(
-        map(_BYTE_SYMBOLS.__getitem__, (block | _TOP_SLOT).to_bytes(8, "little"))
-    )
+    return b"".join(map(_BYTE_SYMBOLS.__getitem__, block.to_bytes(8, "little")))
 
 
-def _guess(rng: random.Random, budget: int, cap: int) -> tuple | None:
+def _draw(key: int):
+    """draw for machine._resume: call b returns the symbols of block b =
+    mix64(key + b * gamma mod 2^64), which is output b of splitmix64 started
+    at key.  A counter, not a state: no generator is built per sample."""
+    return map(_block_symbols, map(mix64, count(key + _MIX1, _MIX1))).__next__
+
+
+def _guess(key: int, budget: int, cap: int) -> tuple | None:
     """Output ints of one guessed run, or None if it does not halt in budget
     with at most cap output symbols.
 
-    A lazy machine run whose tape squares are uniform random symbols, drawn
-    one getrandbits(62) block at a time.
+    A lazy machine run whose tape squares are the uniform symbols of the
+    stream keyed key, drawn one 64-bit block at a time.
     """
-    getrb = rng.getrandbits
-    return machine._resume([], budget, cap, draw=lambda: _block_symbols(getrb(62)))[0]
+    return machine._resume([], budget, cap, draw=_draw(key))[0]
 
 
-def _run_guess(rng: random.Random, max_steps: int) -> str | None:
+def _run_guess(key: int, max_steps: int) -> str | None:
     """Output of one guessed run, or None if it does not halt in budget."""
-    out = _guess(rng, max_steps, max_steps)
+    out = _guess(key, max_steps, max_steps)
     return None if out is None else to_str(out)
+
+
+def _wilson_upper(hits: int, n: int) -> float:
+    """Upper end of the 95% Wilson (1927) score interval for hits in n
+    trials; unlike the Wald stderr it is not 0 at zero hits, where it
+    equals z^2 / (n + z^2)."""
+    p = hits / n
+    z = 1.96
+    z2 = z * z
+    centre = p + z2 / (2 * n)
+    spread = z * math.sqrt(p * (1 - p) / n + z2 / (4 * n * n))
+    return (centre + spread) / (1 + z2 / n)
 
 
 @dataclass
@@ -89,9 +121,10 @@ class PriorEstimate:
     hits: int
     stderr: float | None
     exact: Fraction | None = None
+    p_upper: float | None = None  # Monte Carlo only: 95% Wilson upper bound
 
     def to_json(self) -> dict:
-        return {
+        report = {
             "target": self.target,
             "method": self.method,
             "p_hat": self.p_hat,
@@ -101,6 +134,10 @@ class PriorEstimate:
             "B": self.budget,
             "hits": self.hits,
         }
+        if self.method == "mc":
+            report["p_upper"] = self.p_upper
+            report["rng"] = _RNG
+        return report
 
 
 def _mc_chunk(targets, budget, seed, bounds):
@@ -109,7 +146,7 @@ def _mc_chunk(targets, budget, seed, bounds):
     hit_for = {tuple(machine.to_ints(t)): 0 for t in targets}
     cap = max(map(len, targets), default=0)
     for i in range(lo, hi):
-        out = _guess(random.Random(sample_seed(seed, i)), budget, cap)
+        out = _guess(_sample_key(seed, i), budget, cap)
         if out in hit_for:
             hit_for[out] += 1
     return list(hit_for.values())
@@ -139,7 +176,10 @@ def estimate_prior_mc_batch(
     for t, hits in zip(uniq, totals):
         p = hits / samples
         err = math.sqrt(p * (1.0 - p) / samples)
-        result[t] = PriorEstimate(t, p, "mc", samples, None, budget, hits, err)
+        result[t] = PriorEstimate(
+            t, p, "mc", samples, None, budget, hits, err,
+            p_upper=_wilson_upper(hits, samples),
+        )
     return result
 
 

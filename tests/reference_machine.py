@@ -48,8 +48,8 @@ def decode_instruction(first: str, second: str) -> Instruction:
 
 
 def slot_symbols(block: int, slots: int) -> list[int]:
-    """The per-slot reading of generator bits: 2-bit slices from the low
-    bits up, the fourth pattern (3) rejected."""
+    """The per-slot reading of stream bits: 2-bit slices from the low bits
+    up, the fourth pattern (3) rejected."""
     symbols = []
     for _ in range(slots):
         v = block & 3
@@ -59,11 +59,30 @@ def slot_symbols(block: int, slots: int) -> list[int]:
     return symbols
 
 
-def trinary_source(rng):
-    """Uniform symbols read slot by slot from getrandbits(62) blocks.
-    Yields '0', '1', ','."""
+WORD = 2**64
+GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z):
+    """Steele, Lea & Flood's mixing function on a 64-bit word."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % WORD
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % WORD
+    return z ^ (z >> 31)
+
+
+def trinary_source(seed, index):
+    """Uniform symbols of Monte Carlo sample `index` under master `seed`,
+    read slot by slot: the sample's key is the finalizer of its seed
+    (seed * GAMMA + (index + 1) * 0xBF58476D1CE4E5B9 mod 2^64), and its
+    block b = 1, 2, ... is the finalizer of key + b * GAMMA mod 2^64, read
+    as 32 slots.  Yields '0', '1', ','."""
+    sample = (seed * GAMMA + (index + 1) * 0xBF58476D1CE4E5B9) % WORD
+    key = splitmix64_finalizer(sample)
+    b = 0
     while True:
-        for v in slot_symbols(rng.getrandbits(62), 31):
+        b += 1
+        block = splitmix64_finalizer((key + b * GAMMA) % WORD)
+        for v in slot_symbols(block, 32):
             yield SYMBOLS[v]
 
 

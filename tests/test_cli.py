@@ -170,6 +170,8 @@ def test_prior_deterministic_and_seed_override(capsys, monkeypatch):
     first = run_json(capsys, *args, "--seed", "5")
     second = run_json(capsys, *args, "--seed", "5", "--workers", "3")
     assert first == second
+    assert first["rng"] == "splitmix64"
+    assert first["p_hat"] < first["p_upper"] < 1
     monkeypatch.setenv("OMNI_SEED", "5")
     third = run_json(capsys, *args, "--seed", "31337")
     assert third == first
@@ -183,6 +185,7 @@ def test_prior_exact_and_kraft(capsys):
         capsys, "prior-exact", "--target", "0", "--max-len", "4", "--budget", "100"
     )
     assert payload["hits"] == 1 and payload["p_hat"] == pytest.approx(1 / 81)
+    assert "rng" not in payload and "p_upper" not in payload
     payload = run_json(capsys, "kraft", "--max-len", "4", "--budget", "100")
     assert payload["total_mass"] == pytest.approx(16 / 81)
     assert payload["program_count"] == 8

@@ -1,4 +1,6 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -72,7 +74,7 @@ def test_sample_seed_spreads():
 
 
 def test_trinary_source_draws_all_symbols():
-    src = trinary_source(random.Random(0))
+    src = trinary_source(0, 0)
     draws = [next(src) for _ in range(3000)]
     counts = {s: draws.count(s) for s in "01,"}
     assert all(800 < c < 1200 for c in counts.values())
@@ -103,10 +105,9 @@ def test_mc_tracks_enumeration():
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=40, deadline=None)
 def test_guess_runner_equals_sampled_reference(seed):
-    s = prior.sample_seed(123, seed)
-    fast = prior._run_guess(random.Random(s), 40)
+    fast = prior._run_guess(prior._sample_key(123, seed), 40)
     _, out, status, *_ = reference_run(
-        max_steps=40, mode=machine.LAZY, source=trinary_source(random.Random(s))
+        max_steps=40, mode=machine.LAZY, source=trinary_source(123, seed)
     )
     assert fast == (out if status == machine.HALTED else None)
 
@@ -116,7 +117,39 @@ def test_mc_hits_frozen(workers):
     # the exact hits pin the sample stream and the scoring: criterion 04's
     # tolerance is too wide to notice either changing
     est = estimate_prior_mc_batch(["", "0", "1,"], 20_000, 200, seed=5, workers=workers)
-    assert [est[t].hits for t in ("", "0", "1,")] == [4902, 1162, 263]
+    assert [est[t].hits for t in ("", "0", "1,")] == [4937, 1181, 257]
+
+
+def test_mc_stream_head_matches_exact_mass():
+    # criterion 04's tolerance carries the 0.653 of mass past L = 8, so it
+    # cannot see a biased stream; this check has no residual term.  The
+    # first L squares of a sample's stream, run alone in lazy mode, halt
+    # printing t exactly when the sample's canonical program is at most L
+    # long and prints t, so the hit rate's expectation is the exact mass
+    n, L, B = 100_000, 10, 200
+    hits = Counter()
+    for i in range(n):
+        draw = prior._draw(prior._sample_key(0, i))
+        squares = draw()
+        while len(squares) < L:
+            squares += draw()
+        r = machine.run(machine.to_str(squares[:L]), B, machine.LAZY)
+        if r.status == machine.HALTED:
+            hits[r.output] += 1
+    for t in ("", "0", "0,", "1,"):
+        p = float(enumerate_prior(t, L, B).exact)
+        sigma = math.sqrt(p * (1 - p) / n)
+        assert abs(hits[t] / n - p) <= 4 * sigma, (t, hits[t] / n, p)
+
+
+def test_mc_reports_a_wilson_upper_bound():
+    # zero hits: the Wald stderr is 0, the Wilson bound z^2 / (n + z^2)
+    est = estimate_prior_mc("0000000000", 500, 50, seed=0)
+    assert (est.hits, est.stderr) == (0, 0.0)
+    assert est.p_upper == pytest.approx(1.96**2 / (500 + 1.96**2), rel=1e-12)
+    est = estimate_prior_mc("", 2000, 100, seed=1)
+    assert est.p_hat + est.stderr < est.p_upper < est.p_hat + 3 * est.stderr
+    assert est.to_json()["rng"] == "splitmix64"
 
 
 def test_byte_table_equals_per_slot_reading():
@@ -127,9 +160,9 @@ def test_byte_table_equals_per_slot_reading():
 def test_block_split_equals_per_slot_reading():
     rng = random.Random(2024)
     # all-zero, all-one and top-slice-only blocks, then seeded draws
-    edges = [0, (1 << 62) - 1, 1 << 60, 2 << 60, 3 << 60, 0b111111 << 56]
-    for block in edges + [rng.getrandbits(62) for _ in range(20_000)]:
-        assert list(prior._block_symbols(block)) == slot_symbols(block, 31), block
+    edges = [0, (1 << 64) - 1, 1 << 62, 2 << 62, 3 << 62, 0b111111 << 58]
+    for block in edges + [rng.getrandbits(64) for _ in range(20_000)]:
+        assert list(prior._block_symbols(block)) == slot_symbols(block, 32), block
 
 
 def test_samples_validation():

@@ -2,7 +2,6 @@
 reference interpreter in reference_machine."""
 
 import itertools
-import random
 from collections import Counter
 from fractions import Fraction
 
@@ -164,12 +163,11 @@ def test_census_matches_per_length_table(workers):
 
 @pytest.mark.parametrize("budget", (7, 200))
 def test_guess_runner_matches_reference_on_seeded_samples(budget):
-    # the reference reads the same generator stream one slot at a time
+    # the reference reads the same stream one slot at a time
     for i in range(1500):
-        seed = prior.sample_seed(77, i)
-        got = prior._run_guess(random.Random(seed), budget)
+        got = prior._run_guess(prior._sample_key(77, i), budget)
         _, out, status, *_ = reference_run(
-            max_steps=budget, mode=LAZY, source=trinary_source(random.Random(seed))
+            max_steps=budget, mode=LAZY, source=trinary_source(77, i)
         )
         assert got == (out if status == machine.HALTED else None), (i, budget)
 
@@ -185,7 +183,7 @@ def test_mc_scorer_matches_reference_on_seeded_samples(budget):
     n = 2000
     halts = Counter()
     for i in range(n):
-        source = trinary_source(random.Random(prior.sample_seed(31, i)))
+        source = trinary_source(31, i)
         _, out, status, *_ = reference_run(max_steps=budget, mode=LAZY, source=source)
         if status == machine.HALTED:
             halts[out] += 1
