@@ -14,6 +14,7 @@ produce byte-identical output, regardless of --workers.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -121,22 +122,20 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps({"schema": 1, **payload}, indent=2) + "\n"
+def _write(chunks, out: str | None) -> None:
     if out:
         with open(out, "w") as f:
-            f.write(text)
+            f.writelines(chunks)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
+
+
+def _emit_json(payload: dict, out: str | None) -> None:
+    _write([json.dumps({"schema": 1, **payload}, indent=2) + "\n"], out)
 
 
 def _emit_jsonl(rows, out: str | None) -> None:
-    text = "".join(json.dumps(r) + "\n" for r in rows)
-    if out:
-        with open(out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(["".join(json.dumps(r) + "\n" for r in rows)], out)
 
 
 def _seed(args) -> int:
@@ -176,14 +175,27 @@ def _load_registry(path: str) -> enumeration.DovetailRegistry:
     )
 
 
+# one row of the enumerate report as json.dumps(..., indent=2) lays it out;
+# program text is only 0, 1 and ',', so it needs no escaping
+_ENUMERATE_ROW = '    {\n      "k": %d,\n      "program": "%s"\n    }'
+_ROWS_PER_CHUNK = 4096
+
+
+def _enumerate_text(start: int, stop: int):
+    """The _emit_json text of {"from", "to", "programs": [{"k", "program"}, ...]},
+    byte for byte, in chunks of rows, so memory stays flat in the row count."""
+    yield '{\n  "schema": 1,\n  "from": %d,\n  "to": %d,\n  "programs": [\n' % (start, stop)
+    for lo in range(start, stop + 1, _ROWS_PER_CHUNK):
+        rows = range(lo, min(lo + _ROWS_PER_CHUNK, stop + 1))
+        text = ",\n".join([_ENUMERATE_ROW % (k, enumeration.index_to_program(k)) for k in rows])
+        yield text if lo == start else ",\n" + text
+    yield "\n  ]\n}\n"
+
+
 def _cmd_enumerate(args):
     if args.start < 1 or args.stop < args.start:
         raise ValueError("need 1 <= from <= to")
-    progs = [
-        {"k": k, "program": enumeration.index_to_program(k)}
-        for k in range(args.start, args.stop + 1)
-    ]
-    _emit_json({"from": args.start, "to": args.stop, "programs": progs}, args.out)
+    _write(_enumerate_text(args.start, args.stop), args.out)
 
 
 def _cmd_run(args):
@@ -284,18 +296,19 @@ def _cmd_ssa(args):
         raise ValueError("need period >= 1 and lifetime >= 1")
     seed = _seed(args)
     env = ssa.SwitchingBandit(args.period)
-    trace = ssa.run_learner(env, args.lifetime, seed, record_steps=args.trace is not None)
-    if args.trace:
-        header = {
-            "schema": 1,
-            "kind": "learner-trace",
-            "period": args.period,
-            "steps": args.lifetime,
-            "seed": seed,
-        }
-        rows = [header]
-        rows.extend(trace.jsonl_rows())
-        _emit_jsonl(rows, args.trace)
+    # the trace file opens before the lifetime runs, so a bad path fails at once
+    with open(args.trace, "w") if args.trace is not None else contextlib.nullcontext() as f:
+        trace = ssa.run_learner(env, args.lifetime, seed, record_steps=f is not None)
+        if f is not None:
+            header = {
+                "schema": 1,
+                "kind": "learner-trace",
+                "period": args.period,
+                "steps": args.lifetime,
+                "seed": seed,
+            }
+            f.write(json.dumps(header) + "\n")
+            f.writelines(trace.jsonl_lines())
     payload = trace.summary_json()
     payload["period"] = args.period
     _emit_json(payload, args.out)

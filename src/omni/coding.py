@@ -221,12 +221,16 @@ def arithmetic_roundtrip(
         if s not in index:
             raise ZeroProbabilityError(i, states[i - 1] if i else None, s)
 
+    rows: dict[str | None, list[int]] = {}  # one row per context, shared by both passes
+
     def row_for(prev: str | None) -> list[int]:
-        if prev is None:
-            probs = [model.initial_prob(s) for s in model.alphabet]
-        else:
-            probs = [model.transition_prob(prev, s) for s in model.alphabet]
-        return _freq_row(probs)
+        if prev not in rows:
+            if prev is None:
+                probs = [model.initial_prob(s) for s in model.alphabet]
+            else:
+                probs = [model.transition_prob(prev, s) for s in model.alphabet]
+            rows[prev] = _freq_row(probs)
+        return rows[prev]
 
     enc = _Encoder()
     prev: str | None = None

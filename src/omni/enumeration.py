@@ -16,6 +16,7 @@ worker count by construction.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -24,26 +25,33 @@ from .workers import parallel_map
 
 OUTPUT_CAP = 4096  # registry keeps at most this many output symbols
 
+# the six-digit program text of each v < 3^6, most significant digit first
+_SIX_DIGITS = tuple("".join(p) for p in itertools.product(machine.SYMBOLS, repeat=6))
+_LOG3 = math.log(3)
+
 
 def index_to_program(k: int) -> str:
     """Program at 1-based shortlex position k."""
     if k < 1:
         raise ValueError("index is 1-based")
-    m = k - 1
-    if m == 0:
-        return ""
-    m -= 1
-    length = 1
-    block = 3
-    while m >= block:
-        m -= block
-        block *= 3
-        length += 1
-    digits = []
-    for _ in range(length):
-        digits.append(m % 3)
-        m //= 3
-    return machine.to_str(reversed(digits))
+    # the n-symbol programs hold positions (3^n + 1)/2 .. (3^(n+1) - 1)/2,
+    # i.e. 3^n <= 2k - 1 < 3^(n+1); the float log can miss n either way
+    m = 2 * k - 1
+    n = int(math.log(m) / _LOG3)
+    p = 3**n
+    while p > m:
+        p //= 3
+        n -= 1
+    while 3 * p <= m:
+        p *= 3
+        n += 1
+    v = k - (p + 1) // 2  # offset among the n-symbol programs, n base-3 digits
+    text = ""
+    while n > 6:
+        v, d = divmod(v, 729)
+        text = _SIX_DIGITS[d] + text
+        n -= 6
+    return _SIX_DIGITS[v][6 - n :] + text
 
 
 def program_to_index(program: str) -> int:

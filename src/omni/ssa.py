@@ -28,6 +28,9 @@ ACTIONS = (
 _ACTION_INDEX = {a: i for i, a in enumerate(ACTIONS)}
 
 STATE = "B"
+# one jsonl_rows() row as json.dumps writes it: rewards and their running
+# sums are finite, and %r of a finite float is its JSON text
+_TRACE_LINE = f'{{"t": %d, "state": "{STATE}", "action": "%s", "reward": %r, "R": %r}}\n'
 PROB_FLOOR = 1e-4
 GAMMA_UP = 2.0
 GAMMA_DOWN = 0.5
@@ -203,6 +206,15 @@ class LearnerTrace:
                 "reward": r,
                 "R": cum,
             }
+
+    def jsonl_lines(self):
+        """jsonl_rows() as text, one json.dumps(row) + "\\n" line per row."""
+        if self.actions is None:
+            return
+        cum = 0.0
+        for t, (a, r) in enumerate(zip(self.actions, self.rewards), start=1):
+            cum += r
+            yield _TRACE_LINE % (t, ACTIONS[a], r, cum)
 
     def summary_json(self) -> dict:
         return {

@@ -5,8 +5,9 @@ an Instruction by name, and the output grows one symbol at a time.  It
 covers FINITE and LAZY mode, the T3, T3C and DUAL variants, the output cap,
 and lazy tapes fed square by square from a symbol source, plus the
 per-string definitions of the canonical programs and of the shortlex-first
-witness for each output.  It shares no code with omni, so agreement
-between the two is evidence, not tautology.
+witness for each output, and the per-digit program at each shortlex index.
+It shares no code with omni, so agreement between the two is evidence, not
+tautology.
 """
 
 import enum
@@ -84,6 +85,23 @@ def trinary_source(seed, index):
         block = splitmix64_finalizer((key + b * GAMMA) % WORD)
         for v in slot_symbols(block, 32):
             yield SYMBOLS[v]
+
+
+def index_to_program(k):
+    """Program at 1-based shortlex position k, digit '0' < '1' < ',': skip
+    whole lengths, then write the offset in base 3 one digit at a time."""
+    if k < 1:
+        raise ValueError("index is 1-based")
+    m, length, block = k - 1, 0, 1
+    while m >= block:
+        m -= block
+        block *= 3
+        length += 1
+    program = ""
+    for _ in range(length):
+        m, d = divmod(m, 3)
+        program = SYMBOLS[d] + program
+    return program
 
 
 class _Tape:

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import pytest
+from reference_machine import index_to_program
 
-from omni import cli
+from omni import cli, ssa
 
 
 def run_cli(capsys, *argv):
@@ -22,6 +24,40 @@ def run_json(capsys, *argv):
 def test_enumerate(capsys):
     payload = run_json(capsys, "enumerate", "--from", "1", "--to", "4")
     assert [p["program"] for p in payload["programs"]] == ["", "0", "1", ","]
+
+
+def _first_of_length(n):
+    return (3**n + 1) // 2
+
+
+_CHUNK = cli._ROWS_PER_CHUNK
+ENUMERATE_RANGES = (
+    [(1, 1), (1, 4)]
+    + [(_first_of_length(n) - 1, _first_of_length(n) + 1) for n in range(1, 13)]
+    + [(5, 4 + _CHUNK), (5, 5 + 2 * _CHUNK)]  # one whole chunk; two and one row
+    + [(10**30, 10**30 + 40)]
+)
+
+
+@pytest.mark.parametrize("start,stop", ENUMERATE_RANGES)
+def test_enumerate_bytes_match_json_dumps(tmp_path, capsys, start, stop):
+    rows = [{"k": k, "program": index_to_program(k)} for k in range(start, stop + 1)]
+    want = json.dumps({"schema": 1, "from": start, "to": stop, "programs": rows}, indent=2) + "\n"
+    argv = ["enumerate", "--from", str(start), "--to", str(stop)]
+    assert run_cli(capsys, *argv) == (0, want)
+    path = tmp_path / "enumerate.json"
+    assert run_cli(capsys, *argv, "--out", str(path)) == (0, "")
+    assert path.read_text() == want
+
+
+def test_enumerate_memory_is_flat_in_rows(tmp_path):
+    tracemalloc.start()
+    try:
+        code = cli.main(["enumerate", "--from", "1", "--to", "60000", "--out", str(tmp_path / "e.json")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 4 * 2**20
 
 
 def test_enumerate_bad_range_is_guarded(capsys):
@@ -231,6 +267,29 @@ def test_ssa_summary_and_trace(tmp_path, capsys):
     assert len(lines) == 401
     last = json.loads(lines[-1])
     assert last["t"] == 400 and last["R"] == pytest.approx(payload["total_reward"])
+
+
+def test_ssa_trace_lines_are_json_dumps_of_the_rows(tmp_path, capsys):
+    trace = tmp_path / "trace.jsonl"
+    argv = ["ssa", "--period", "50", "--lifetime", "5000", "--seed", "3", "--trace", str(trace)]
+    run_json(capsys, *argv)
+    api = ssa.run_learner(ssa.SwitchingBandit(50), 5000, 3)
+    assert api.pops >= 1
+    head = {"schema": 1, "kind": "learner-trace", "period": 50, "steps": 5000, "seed": 3}
+    want = [json.dumps(head) + "\n"] + [json.dumps(row) + "\n" for row in api.jsonl_rows()]
+    with open(trace) as f:
+        assert list(f) == want
+
+
+@pytest.mark.parametrize("path", ["", "no-such-dir/x.jsonl"])
+def test_ssa_bad_trace_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch, path):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the learner ran before the trace file opened")
+
+    monkeypatch.setattr(ssa, "run_learner", no_run)
+    trace = str(tmp_path / path) if path else path
+    code, out = run_cli(capsys, "ssa", "--period", "50", "--lifetime", "100", "--trace", trace)
+    assert code == 2 and out == ""
 
 
 def test_ssa_respects_omni_seed(capsys, monkeypatch):

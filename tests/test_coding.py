@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -78,6 +79,25 @@ def test_roundtrip_frozen_sequence():
     assert decoded == seq
     assert set(bits) <= {"0", "1"}
     assert len(bits) <= shannon_code_length(seq, model) + CODER_SLACK_BITS
+
+
+def test_roundtrip_bits_frozen_on_a_drawn_chain():
+    # a 4-state chain and 2,000 states drawn from it as the lifetime benchmark
+    # draws them; the digest pins every bit the coder emits
+    rng = random.Random(20260)
+    alphabet = ["a", "b", "c", "d"]
+    transitions, rows = {}, {}
+    for a in alphabet:
+        w = [rng.random() + 1e-3 for _ in alphabet]
+        rows[a] = [x / sum(w) for x in w]
+        transitions.update({(a, b): p for b, p in zip(alphabet, rows[a])})
+    states = [rng.choice(alphabet)]
+    for _ in range(1999):
+        states.append(rng.choices(alphabet, rows[states[-1]])[0])
+    bits, decoded = arithmetic_roundtrip(states, NoiseModel(alphabet, transitions))
+    assert decoded == states and len(bits) == 3635
+    digest = hashlib.sha256(bits.encode()).hexdigest()
+    assert digest == "abd63141fa988cb0101669e225e48222f852c907b66fab3941181cb006035133"
 
 
 def test_roundtrip_empty():

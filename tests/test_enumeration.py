@@ -1,7 +1,9 @@
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference_machine import index_to_program as index_to_program_by_digits
 
 from omni import machine
 from omni.enumeration import (
@@ -38,6 +40,38 @@ def test_bijection_roundtrip_index(k):
 @settings(max_examples=300)
 def test_bijection_roundtrip_program(p):
     assert index_to_program(program_to_index(p)) == p
+
+
+def test_index_to_program_matches_programs_up_to_nine_symbols():
+    listed = [machine.to_str(p) for p in programs(9)]
+    assert len(listed) == (3**10 - 1) // 2
+    assert [index_to_program(k) for k in range(1, len(listed) + 1)] == listed
+
+
+def test_index_to_program_at_every_length_boundary():
+    # the first n-symbol program sits at (3^n + 1)/2, where 2k - 1 = 3^n
+    # exactly; the float log misses n on both sides of these for n <= 200
+    for n in range(201):
+        first = (3**n + 1) // 2
+        for k in (first - 1, first, first + 1):
+            if k >= 1:
+                assert index_to_program(k) == index_to_program_by_digits(k)
+                assert program_to_index(index_to_program(k)) == k
+        assert len(index_to_program(first)) == n
+        assert first == 1 or len(index_to_program(first - 1)) == n - 1
+
+
+def test_index_to_program_at_a_5000_digit_index():
+    k = 3**5000
+    program = index_to_program(k)
+    assert program == index_to_program_by_digits(k)
+    assert len(program) == 5000 and program_to_index(program) == k
+
+
+@pytest.mark.parametrize("k", [0, -1, -(3**40)])
+def test_index_to_program_rejects_non_positive(k):
+    with pytest.raises(ValueError):
+        index_to_program(k)
 
 
 def test_programs_generator_matches_bijection():
