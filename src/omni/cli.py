@@ -123,7 +123,7 @@ def _build_parser() -> _Parser:
 
 
 def _write(chunks, out: str | None) -> None:
-    if out:
+    if out is not None:
         with open(out, "w") as f:
             f.writelines(chunks)
     else:

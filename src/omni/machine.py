@@ -36,13 +36,13 @@ Run modes:
             'budget' with the partial output.
 
 Two fetch-decode loops run everything.  _run_ints, the interpreter core,
-runs fixed program strings only.  Exhaustive sweeps (prior's canonical
-programs, complexity's searches and census) do not run each of the 3^L
-tape strings from square 0.  _witnesses walks the tape tree depth first,
-and a node resumes its parent's suspended run in _resume, the other loop,
-on the squares its next fetch reads, so every prefix runs once.  A run
-that dies kills the whole subtree, since every extension replays it; the
-deaths are proofs:
+runs fixed program strings only.  Exhaustive sweeps (prior's exact sums,
+complexity's searches and census) do not run each of the 3^L tape strings
+from square 0.  _witnesses walks the tape tree depth first, and a node
+resumes its parent's suspended run in _resume, the other loop, on the
+squares its next fetch reads, so every prefix runs once.  A run that dies
+kills the whole subtree, since every extension replays it; the deaths are
+proofs:
 
 * a wrong or surplus output symbol cannot be recovered (output never
   shrinks);
@@ -72,7 +72,9 @@ divergence, and none of those could score.
 A program is *canonical* when its lazy-mode run halts having consumed
 exactly its own length.  Canonical programs are prefix-free by
 construction: a halting run never looks at squares past the ones it
-consumed, so no proper extension can be canonical.
+consumed, so no proper extension can be canonical.  One LAZY walk to a
+length cap yields each once; given a target and its length as the output
+cap, only those whose output is a prefix of it.
 """
 
 from __future__ import annotations
@@ -309,7 +311,7 @@ def _witnesses(
     * LAZY: only a HALT node halts, and each is yielded: it is canonical,
       since a node resumes its parent's run only at the depth where the
       next fetch reads the last square.  cap = budget leaves T3 output
-      unlimited.
+      unlimited; with a target, each halt printed a prefix of it.
 
     With shortest, each node yielded is shorter than the one before, and
     the last is the shortlex-first.

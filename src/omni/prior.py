@@ -13,11 +13,12 @@ run cannot score, and every sample reads its own stream, so stopping one
 early changes no hit.
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
-length cap whose output is the target.  Canonical means the lazy run halts
-consuming exactly |p|, which makes the counted set prefix-free, so the full
-sum over all lengths can never exceed 1 (Kraft).  Both routes are lower
-bounds on the same quantity and must agree within sampling noise plus the
-mass the enumeration truncates away.
+length cap whose output is the target, in one tape-tree walk (_walk) that
+kills a program at its first wrong or surplus output symbol.  Canonical
+means the lazy run halts consuming exactly |p|, which makes the counted set
+prefix-free, so the full sum over all lengths can never exceed 1 (Kraft).
+Both routes are lower bounds on the same quantity and must agree within
+sampling noise plus the mass the enumeration truncates away.
 """
 
 from __future__ import annotations
@@ -189,46 +190,44 @@ def estimate_prior_mc(
     return estimate_prior_mc_batch([target], samples, budget, seed, workers)[target]
 
 
-_SWAP01 = str.maketrans("01", "10")
-
-
-def canonical_programs(max_len: int, budget: int, variant: str = T3):
-    """Yield (program, output) over canonical programs up to max_len,
-    shortlex order.
-
-    The lazy-mode tape-tree walk (machine._witnesses) runs every prefix
-    once and yields each canonical program it meets; shortlex order comes
-    from deepening one length at a time and keeping the programs of exactly
-    that length.  A DUAL program is its selector symbol and then a T3
-    program run at budget - 1: ',' alone, then '0' + p, then '1' + p with
-    the output's 0 and 1 swapped.
-
-    Raises ValueError for a budget below 1 and for variants other than T3
-    and DUAL.
+def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
+    """Yield (program, output ints) of the canonical programs up to max_len
+    whose output is a prefix of target (all of them without one), in one
+    lazy-mode walk (machine._witnesses), lexicographic but for DUAL's ','
+    first.  A DUAL program is its selector symbol and then a T3 program run
+    at budget - 1: ',' alone, then '0' + p, then '1' + p walked against the
+    swapped target.
     """
     machine.check_inputs(budget)
+    cap = budget if target is None else len(target)
     if variant == T3:
-        for length in range(1, max_len + 1):
-            yield from _canonical_level(length, budget)
+        yield from machine._witnesses(max_len, budget, cap, target, mode=LAZY)
     elif variant == DUAL:
         if max_len >= 1:
-            yield ",", ""
-        for length in range(1, max_len):
-            level = list(_canonical_level(length, budget - 1))
-            for p, out in level:
-                yield "0" + p, out
-            for p, out in level:
-                yield "1" + p, out.translate(_SWAP01)
+            yield ",", ()
+        swap = (1, 0, 2).__getitem__
+        walk = partial(machine._witnesses, max_len - 1, budget - 1, cap, mode=LAZY)
+        if target is None:
+            zero = one = list(walk())  # the '1' table's programs are the '0' table's
+        else:
+            zero, one = walk(target), walk(tuple(map(swap, target)))
+        for p, out in zero:
+            yield "0" + p, out
+        for p, out in one:
+            yield "1" + p, tuple(map(swap, out))
     else:
         raise ValueError(f"no canonical programs for variant {variant!r}")
 
 
-def _canonical_level(length: int, budget: int):
-    """(program, output) of every canonical T3 program of exactly this
-    length, in lexicographic order."""
-    for p, out in machine._witnesses(length, budget, budget, mode=LAZY):
-        if len(p) == length:
-            yield p, to_str(out)
+def canonical_programs(max_len: int, budget: int, variant: str = T3):
+    """Yield (program, output) over canonical programs up to max_len,
+    shortlex order: one lexicographic walk (_walk), stably sorted by length.
+
+    Raises ValueError for a budget below 1 and for variants other than T3
+    and DUAL.
+    """
+    walked = [(p, to_str(out)) for p, out in _walk(max_len, budget, variant)]
+    yield from sorted(walked, key=lambda item: len(item[0]))
 
 
 def enumerate_prior(
@@ -237,11 +236,12 @@ def enumerate_prior(
     """Exact truncated prior mass: sum of 3^-|p| over canonical programs of
     length <= max_len printing the target."""
     machine.check_inputs(budget, target)
+    goal = tuple(machine.to_ints(target))
     top = max(max_len, 0)
     weight = 0  # the mass in units of 3^-top, summed exactly as an integer
     hits = 0
-    for p, out in canonical_programs(max_len, budget, variant):
-        if out == target:
+    for p, out in _walk(max_len, budget, variant, goal):
+        if len(out) == len(goal):
             weight += 3 ** (top - len(p))
             hits += 1
     mass = Fraction(weight, 3**top)
@@ -272,7 +272,7 @@ def kraft_sum(max_len: int, budget: int, variant: str = T3) -> KraftReport:
     top = max(max_len, 0)
     weight = 0  # the mass in units of 3^-top, summed exactly as an integer
     count = 0
-    for p, _ in canonical_programs(max_len, budget, variant):
+    for p, _ in _walk(max_len, budget, variant):
         weight += 3 ** (top - len(p))
         count += 1
     return KraftReport(Fraction(weight, 3**top), count, max_len, budget)

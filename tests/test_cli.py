@@ -314,3 +314,15 @@ def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["output"] == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--program", "00"],
+        ["kraft", "--max-len", "4", "--budget", "100"],
+        ["enumerate", "--from", "1", "--to", "4"],
+    ],
+)
+def test_empty_out_path_exits_2_with_nothing_on_stdout(capsys, argv):
+    assert run_cli(capsys, *argv, "--out", "") == (2, "")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from collections import Counter
@@ -33,6 +34,24 @@ def test_kraft_frozen_at_twelve():
     rep = kraft_sum(12, 200)
     assert rep.total_mass == Fraction(246091, 531441)
     assert rep.program_count == 32835
+
+
+@pytest.mark.parametrize("variant", (machine.T3, machine.DUAL))
+def test_exact_sums_match_one_canonical_pass_at_ten(variant):
+    # the benchmark's scale: each target-pruned sum and the Kraft sum equal
+    # the per-output sums of one shortlex pass
+    mass: dict[str, Fraction] = {}
+    hits: Counter = Counter()
+    for p, out in canonical_programs(10, 200, variant):
+        mass[out] = mass.get(out, 0) + Fraction(1, 3 ** len(p))
+        hits[out] += 1
+    targets = ["".join(s) for n in (1, 2, 3) for s in itertools.product("01,", repeat=n)]
+    assert len(targets) == 39
+    for t in targets:
+        est = enumerate_prior(t, 10, 200, variant)
+        assert (est.exact, est.hits) == (mass.get(t, 0), hits[t]), t
+    rep = kraft_sum(10, 200, variant)
+    assert (rep.total_mass, rep.program_count) == (sum(mass.values()), hits.total())
 
 
 def test_kraft_monotone_and_bounded():

@@ -103,6 +103,33 @@ def test_canonical_walk_matches_per_string_definition(budget, variant):
     assert got == list(canonical_by_string(8, budget, variant))
 
 
+@pytest.mark.parametrize("variant", (T3, DUAL))
+@pytest.mark.parametrize("budget", (1, 2, 3, 17, 200))
+def test_exact_sums_match_per_string_definition(budget, variant):
+    # the target-pruned walk and its exact sums against every string run
+    # alone, at every length cap: the targets are every string of up to
+    # three symbols and every output seen with one symbol more.  T3 is
+    # symmetric in 0 and 1, so only the programs walked, not the sums, show
+    # a DUAL '1' branch walked against the unswapped target
+    canonical = list(canonical_by_string(8, budget, variant))
+    targets = {"".join(s) for n in range(4) for s in itertools.product(SYMBOLS, repeat=n)}
+    targets |= {out + s for _, out in canonical for s in SYMBOLS}
+    for max_len in range(-1, 9):
+        kept = [(p, out) for p, out in canonical if len(p) <= max_len]
+        hits = Counter(out for _, out in kept)
+        mass = Counter()
+        for p, out in kept:
+            mass[out] += Fraction(1, 3 ** len(p))
+        kraft = prior.kraft_sum(max_len, budget, variant)
+        assert (kraft.total_mass, kraft.program_count) == (sum(mass.values()), len(kept))
+        for t in sorted(targets):
+            est = prior.enumerate_prior(t, max_len, budget, variant)
+            assert (est.exact, est.hits) == (mass[t], hits[t]), (t, max_len)
+            walked = prior._walk(max_len, budget, variant, tuple(machine.to_ints(t)))
+            want = [(p, out) for p, out in kept if t.startswith(out)]
+            assert sorted((p, machine.to_str(out)) for p, out in walked) == sorted(want), (t, max_len)
+
+
 @pytest.mark.parametrize("aux", (None,) + AUX_TAPES)
 @pytest.mark.parametrize("budget", (1, 2, 3, 5, 17, 300))
 def test_first_witness_walk_matches_per_program_definition(budget, aux):
