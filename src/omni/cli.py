@@ -22,9 +22,6 @@ import sys
 from . import complexity, enumeration, machine, multiverse, prior, ssa
 from .coding import ZeroProbabilityError, arithmetic_roundtrip, fit_noise_model, shannon_code_length
 
-_MODES = {"finite": machine.FINITE, "lazy": machine.LAZY}
-_VARIANTS = {"t3": machine.T3, "t3c": machine.T3C, "dual": machine.DUAL}
-
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, not argparse's default 2 (2 is reserved for
@@ -37,82 +34,87 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="omni", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    modes = sorted((machine.FINITE, machine.LAZY))
+    variants = sorted((machine.T3, machine.T3C, machine.DUAL))
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--out", help="write the report here instead of stdout")
+        sp.set_defaults(handler=handler)
         return sp
 
-    sp = add("enumerate", "list programs by index in the shortlex bijection")
+    sp = add("enumerate", _cmd_enumerate, "list programs by index in the shortlex bijection")
     sp.add_argument("--from", dest="start", type=int, required=True)
     sp.add_argument("--to", dest="stop", type=int, required=True)
 
-    sp = add("run", "run one program and report the outcome")
+    sp = add("run", _cmd_run, "run one program and report the outcome")
     sp.add_argument("--program", required=True)
     sp.add_argument("--max-steps", type=int, default=1000)
-    sp.add_argument("--mode", choices=sorted(_MODES), default="finite")
-    sp.add_argument("--variant", choices=sorted(_VARIANTS), default="t3")
+    sp.add_argument("--mode", choices=modes, default=machine.FINITE)
+    sp.add_argument("--variant", choices=variants, default=machine.T3)
     sp.add_argument("--aux", default=None)
 
-    sp = add("dovetail", "share steps across all programs, snapshot the registry")
+    sp = add("dovetail", _cmd_dovetail, "share steps across all programs, snapshot the registry")
     sp.add_argument("--steps", type=int, required=True)
-    sp.add_argument("--mode", choices=sorted(_MODES), default="finite")
+    sp.add_argument("--mode", choices=modes, default=machine.FINITE)
     sp.add_argument("--workers", type=int, default=1)
 
-    sp = add("dedup", "group registry entries by output prefix")
+    sp = add("dedup", _cmd_dedup, "group registry entries by output prefix")
     sp.add_argument("--snapshot", required=True)
     sp.add_argument("--prefix-len", dest="prefix_len", type=int, required=True)
 
-    sp = add("census", "fraction of n-symbol outputs compressible by c")
+    sp = add("census", _cmd_census, "fraction of n-symbol outputs compressible by c")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--c", type=int, required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--workers", type=int, default=1)
 
-    sp = add("kcomp", "shortest-program upper bound for a target")
+    sp = add("kcomp", _cmd_kcomp, "shortest-program upper bound for a target")
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--cond", default=None, help="condition on this string via the aux tape")
 
-    sp = add("mutual", "algorithmic mutual information estimate")
+    sp = add("mutual", _cmd_mutual, "algorithmic mutual information estimate")
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
 
-    sp = add("prior", "Monte Carlo prior mass of a target output")
+    sp = add("prior", _cmd_prior, "Monte Carlo prior mass of a target output")
     sp.add_argument("--target", required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
 
-    sp = add("prior-exact", "enumerated prior mass of a target output")
+    sp = add("prior-exact", _cmd_prior_exact, "enumerated prior mass of a target output")
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
-    sp.add_argument("--variant", choices=sorted(_VARIANTS), default="t3")
+    sp.add_argument("--variant", choices=variants, default=machine.T3)
 
-    sp = add("kraft", "total canonical program mass up to a length cap")
+    sp = add("kraft", _cmd_kraft, "total canonical program mass up to a length cap")
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
-    sp.add_argument("--variant", choices=sorted(_VARIANTS), default="t3")
+    sp.add_argument("--variant", choices=variants, default=machine.T3)
 
-    sp = add("coding-gap", "compare -log3(prior mass) against shortest witnesses")
+    sp = add("coding-gap", _cmd_coding_gap, "compare -log3(prior mass) against shortest witnesses")
     sp.add_argument("--target", action="append", required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
 
-    sp = add("demo-compiler", "hosting check for the one-symbol compiler prefix")
+    sp = add(
+        "demo-compiler", _cmd_demo_compiler, "hosting check for the one-symbol compiler prefix"
+    )
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
 
-    sp = add("entropy", "fit a bigram model to states and code them")
+    sp = add("entropy", _cmd_entropy, "fit a bigram model to states and code them")
     sp.add_argument("--x", required=True, help="comma-separated state sequence")
 
-    sp = add("ssa", "run the self-modifying learner")
+    sp = add("ssa", _cmd_ssa, "run the self-modifying learner")
     sp.add_argument("--env", choices=["switching"], default="switching")
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--lifetime", type=int, required=True)
@@ -143,38 +145,6 @@ def _seed(args) -> int:
     return int(env) if env is not None else args.seed
 
 
-# the fields of a dovetail snapshot's header and rows, with their JSON types
-_REGISTRY_HEAD = {"cap": int, "requested_steps": int, "executed_steps": int, "mode": str}
-_REGISTRY_ROW = {
-    "k": int, "program": str, "steps": int, "halted": bool, "output_prefix": str, "truncated": bool,
-}
-
-
-def _well_formed(row, fields) -> bool:
-    return isinstance(row, dict) and all(type(row.get(f)) is t for f, t in fields.items())
-
-
-def _load_registry(path: str) -> enumeration.DovetailRegistry:
-    with open(path) as f:
-        lines = [json.loads(line) for line in f if line.strip()]
-    if not lines or not isinstance(lines[0], dict) or lines[0].get("kind") != "dovetail-registry":
-        raise ValueError("snapshot is not a dovetail registry")
-    head = lines[0]
-    if not _well_formed(head, _REGISTRY_HEAD) or not all(
-        _well_formed(row, _REGISTRY_ROW) for row in lines[1:]
-    ):
-        raise ValueError("malformed dovetail registry snapshot")
-    entries = {
-        row["k"]: enumeration.RegistryEntry(
-            row["program"], row["steps"], row["halted"], row["output_prefix"], row["truncated"]
-        )
-        for row in lines[1:]
-    }
-    return enumeration.DovetailRegistry(
-        entries, head["executed_steps"], head["requested_steps"], head["cap"], head["mode"]
-    )
-
-
 # one row of the enumerate report as json.dumps(..., indent=2) lays it out;
 # program text is only 0, 1 and ',', so it needs no escaping
 _ENUMERATE_ROW = '    {\n      "k": %d,\n      "program": "%s"\n    }'
@@ -199,21 +169,22 @@ def _cmd_enumerate(args):
 
 
 def _cmd_run(args):
-    variant = _VARIANTS[args.variant]
     aux = args.aux
-    if variant == machine.T3C and aux is None:
+    if args.variant == machine.T3C and aux is None:
         aux = ""
-    r = machine.run(args.program, args.max_steps, _MODES[args.mode], variant, aux)
+    r = machine.run(args.program, args.max_steps, args.mode, args.variant, aux)
     _emit_json(r.to_json(), args.out)
 
 
 def _cmd_dovetail(args):
-    reg = enumeration.dovetail(args.steps, mode=_MODES[args.mode], workers=args.workers)
+    reg = enumeration.dovetail(args.steps, mode=args.mode, workers=args.workers)
     _emit_jsonl(reg.snapshot_rows(), args.out)
 
 
 def _cmd_dedup(args):
-    reg = _load_registry(args.snapshot)
+    with open(args.snapshot) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    reg = enumeration.DovetailRegistry.from_rows(rows)
     groups = multiverse.dedup_universes(reg, args.prefix_len)
     _emit_json(
         {
@@ -253,12 +224,12 @@ def _cmd_prior(args):
 
 
 def _cmd_prior_exact(args):
-    est = prior.enumerate_prior(args.target, args.max_len, args.budget, _VARIANTS[args.variant])
+    est = prior.enumerate_prior(args.target, args.max_len, args.budget, args.variant)
     _emit_json(est.to_json(), args.out)
 
 
 def _cmd_kraft(args):
-    rep = prior.kraft_sum(args.max_len, args.budget, _VARIANTS[args.variant])
+    rep = prior.kraft_sum(args.max_len, args.budget, args.variant)
     _emit_json(rep.to_json(), args.out)
 
 
@@ -314,28 +285,10 @@ def _cmd_ssa(args):
     _emit_json(payload, args.out)
 
 
-_DISPATCH = {
-    "enumerate": _cmd_enumerate,
-    "run": _cmd_run,
-    "dovetail": _cmd_dovetail,
-    "dedup": _cmd_dedup,
-    "census": _cmd_census,
-    "kcomp": _cmd_kcomp,
-    "mutual": _cmd_mutual,
-    "prior": _cmd_prior,
-    "prior-exact": _cmd_prior_exact,
-    "kraft": _cmd_kraft,
-    "coding-gap": _cmd_coding_gap,
-    "demo-compiler": _cmd_demo_compiler,
-    "entropy": _cmd_entropy,
-    "ssa": _cmd_ssa,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _DISPATCH[args.command](args)
+        args.handler(args)
     except (ValueError, ZeroProbabilityError, OSError, json.JSONDecodeError, KeyError) as e:
         sys.stderr.write(f"omni: error: {e}\n")
         return 2

@@ -96,6 +96,29 @@ class RegistryEntry:
     truncated: bool
 
 
+# A snapshot is a header row, then one row per entry in index order.  Each
+# field is (JSON key, attribute, JSON type), in the snapshot's key order; a
+# row's "k" (an int) comes first.
+_SNAPSHOT_KIND = "dovetail-registry"
+_HEAD_FIELDS = (
+    ("cap", "output_cap", int),
+    ("requested_steps", "requested_steps", int),
+    ("executed_steps", "total_steps", int),
+    ("mode", "mode", str),
+)
+_ROW_FIELDS = (
+    ("program", "program", str),
+    ("steps", "steps_executed", int),
+    ("halted", "halted", bool),
+    ("output_prefix", "output_prefix", str),
+    ("truncated", "truncated", bool),
+)
+
+
+def _has_fields(row, fields) -> bool:
+    return isinstance(row, dict) and all(type(row.get(key)) is t for key, _, t in fields)
+
+
 @dataclass
 class DovetailRegistry:
     entries: dict[int, RegistryEntry]
@@ -105,48 +128,40 @@ class DovetailRegistry:
     mode: str
 
     def snapshot_rows(self) -> list[dict]:
-        rows = [
-            {
-                "schema": 1,
-                "kind": "dovetail-registry",
-                "cap": self.output_cap,
-                "requested_steps": self.requested_steps,
-                "executed_steps": self.total_steps,
-                "mode": self.mode,
-            }
-        ]
-        for k in sorted(self.entries):
-            e = self.entries[k]
-            rows.append(
-                {
-                    "k": k,
-                    "program": e.program,
-                    "steps": e.steps_executed,
-                    "halted": e.halted,
-                    "output_prefix": e.output_prefix,
-                    "truncated": e.truncated,
-                }
-            )
+        head = {"schema": 1, "kind": _SNAPSHOT_KIND}
+        rows = [head | {key: getattr(self, attr) for key, attr, _ in _HEAD_FIELDS}]
+        for k, e in sorted(self.entries.items()):
+            rows.append({"k": k} | {key: getattr(e, attr) for key, attr, _ in _ROW_FIELDS})
         return rows
 
+    @classmethod
+    def from_rows(cls, rows: list) -> "DovetailRegistry":
+        """The registry whose snapshot_rows() are rows, as read back from
+        JSON; ValueError when rows are not such a snapshot."""
+        if not rows or not isinstance(rows[0], dict) or rows[0].get("kind") != _SNAPSHOT_KIND:
+            raise ValueError("snapshot is not a dovetail registry")
+        head, body = rows[0], rows[1:]
+        if not _has_fields(head, _HEAD_FIELDS) or not all(
+            _has_fields(row, _ROW_FIELDS) and type(row.get("k")) is int for row in body
+        ):
+            raise ValueError("malformed dovetail registry snapshot")
+        entries = {
+            row["k"]: RegistryEntry(**{attr: row[key] for key, attr, _ in _ROW_FIELDS})
+            for row in body
+        }
+        return cls(entries, **{attr: head[key] for key, attr, _ in _HEAD_FIELDS})
 
-def _run_entry(mode, out_cap, job):
+
+def _run_entry(mode, job):
     k, budget = job
     program = index_to_program(k)
-    if budget < 1:  # empty-program edge: index 1 with a 0 budget never occurs
-        return k, RegistryEntry(program, 0, False, "", False)
-    r = machine.run(program, budget, mode, out_cap=out_cap)
+    r = machine.run(program, budget, mode, out_cap=OUTPUT_CAP)
     return k, RegistryEntry(program, r.steps, r.halted, r.output, r.truncated)
 
 
-def dovetail(
-    total_steps: int,
-    per_program_budget: int | None = None,
-    mode: str = machine.FINITE,
-    out_cap: int = OUTPUT_CAP,
-    workers: int = 1,
-) -> DovetailRegistry:
-    """Dovetail the enumeration for total_steps global steps."""
+def dovetail(total_steps: int, mode: str = machine.FINITE, workers: int = 1) -> DovetailRegistry:
+    """Dovetail the enumeration for total_steps global steps; each entry
+    keeps at most OUTPUT_CAP output symbols."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     jobs = []
@@ -155,11 +170,9 @@ def dovetail(
         allot = steps_offered(total_steps, k)
         if allot < 1:
             break
-        if per_program_budget is not None:
-            allot = min(allot, per_program_budget)
         jobs.append((k, allot))
         k += 1
-    results = parallel_map(partial(_run_entry, mode, out_cap), jobs, workers)
+    results = parallel_map(partial(_run_entry, mode), jobs, workers)
     entries = dict(results)
     executed = sum(e.steps_executed for e in entries.values())
-    return DovetailRegistry(entries, executed, total_steps, out_cap, mode)
+    return DovetailRegistry(entries, executed, total_steps, OUTPUT_CAP, mode)

@@ -147,12 +147,13 @@ def check_inputs(max_steps: int, *texts: str) -> None:
         to_ints(t)
 
 
-def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None):
+def _run_ints(prog, max_steps, finite, aux, out_cap=None):
     """Core fetch-decode-execute loop on a fixed int symbol sequence.
 
     Returns (out_ints, halted, consumed, steps, truncated).
-    readaux=True gives T3C semantics for opcode ',,'.  out_cap stops output
-    growth at the cap (execution continues) and flips the truncated flag.
+    aux switches on T3C semantics (',,' appends the whole aux tape).
+    out_cap stops output growth at the cap (execution continues) and flips
+    the truncated flag.
     """
     n = len(prog)
     ip = reg = anchor = consumed = steps = 0
@@ -191,7 +192,7 @@ def _run_ints(prog, max_steps, finite, readaux, aux, out_cap=None):
                 ip = anchor
         elif op == _HALT:
             return out, True, consumed, steps, truncated
-        elif readaux:  # ',,' in T3C
+        elif aux is not None:  # ',,' in T3C
             if aux:
                 if out_cap is None:
                     out.extend(aux)
@@ -372,9 +373,7 @@ def run(
         return _run_dual(program, prog, max_steps, finite, out_cap)
 
     aux_ints = to_ints(aux) if aux is not None else None
-    out, halted, consumed, steps, truncated = _run_ints(
-        prog, max_steps, finite, variant == T3C, aux_ints, out_cap
-    )
+    out, halted, consumed, steps, truncated = _run_ints(prog, max_steps, finite, aux_ints, out_cap)
     return RunResult(
         program, to_str(out), HALTED if halted else BUDGET, consumed, steps, truncated
     )
@@ -388,7 +387,7 @@ def _run_dual(program, prog, max_steps, finite, out_cap):
     if sel == 2:  # ',' selector: halt with empty output
         return RunResult(program, "", HALTED, 1, 1)
     out, halted, consumed, steps, truncated = _run_ints(
-        prog[1:], max_steps - 1, finite, False, None, out_cap
+        prog[1:], max_steps - 1, finite, None, out_cap
     )
     if sel == 1:  # swapped table: OUT0 emits '1', OUT1 emits '0'
         out = [1 - v if v < 2 else v for v in out]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .enumeration import DovetailRegistry
 from .machine import to_ints
 
 END_MARKER = "$"  # not a machine symbol, marks a complete short output
@@ -50,7 +51,7 @@ class DedupGroup:
     members: list[int]
 
 
-def dedup_universes(registry, prefix_len: int) -> list[DedupGroup]:
+def dedup_universes(registry: DovetailRegistry, prefix_len: int) -> list[DedupGroup]:
     """Partition registry programs by their first prefix_len output symbols.
 
     A halted program whose whole output is shorter than prefix_len compares
@@ -58,15 +59,13 @@ def dedup_universes(registry, prefix_len: int) -> list[DedupGroup]:
     pools with unfinished ones that merely start the same way.
     pre: prefix_len <= the registry's output cap.
     """
-    entries = getattr(registry, "entries", registry)
-    cap = getattr(registry, "output_cap", None)
-    if cap is not None and prefix_len > cap:
+    cap = registry.output_cap
+    if prefix_len > cap:
         raise ValueError(f"prefix_len {prefix_len} exceeds registry output cap {cap}")
     if prefix_len < 1:
         raise ValueError("prefix_len must be >= 1")
     groups: dict[str, list[int]] = {}
-    for k in sorted(entries):
-        e = entries[k]
+    for k, e in sorted(registry.entries.items()):
         out = e.output_prefix
         if e.halted and not e.truncated and len(out) < prefix_len:
             key = out + END_MARKER

@@ -93,12 +93,6 @@ def _guess(key: int, budget: int, cap: int) -> tuple | None:
     return machine._resume([], budget, cap, draw=_draw(key))[0]
 
 
-def _run_guess(key: int, max_steps: int) -> str | None:
-    """Output of one guessed run, or None if it does not halt in budget."""
-    out = _guess(key, max_steps, max_steps)
-    return None if out is None else to_str(out)
-
-
 def _wilson_upper(hits: int, n: int) -> float:
     """Upper end of the 95% Wilson (1927) score interval for hits in n
     trials; unlike the Wald stderr it is not 0 at zero hits, where it

@@ -74,9 +74,9 @@ class Policy:
         self.vectors = vectors
 
     @classmethod
-    def uniform(cls, states: tuple[str, ...] = (STATE,)) -> "Policy":
+    def uniform(cls) -> "Policy":
         n = len(ACTIONS)
-        return cls({s: [1.0 / n] * n for s in states})
+        return cls({STATE: [1.0 / n] * n})
 
     def probs(self, state: str) -> list[float]:
         return self.vectors[state]
@@ -323,10 +323,10 @@ def run_learner(
     )
 
 
-def uniform_baseline(env, total_steps: int, seed: int, record_steps: bool = False) -> LearnerTrace:
+def uniform_baseline(env, total_steps: int, seed: int) -> LearnerTrace:
     """Same action sampler, learning disabled: the policy stays uniform and
     modifier actions do nothing.  Expected reward is 1/15 per step."""
-    return run_learner(env, total_steps, seed, learn=False, record_steps=record_steps)
+    return run_learner(env, total_steps, seed, learn=False, record_steps=False)
 
 
 # ---------------------------------------------------------------------------
@@ -351,18 +351,6 @@ def edit_programs(max_len: int):
         frontier = nxt
 
 
-def apply_edit_program(policy: Policy, edits: tuple[str, ...]) -> StackEntry:
-    """Apply an edit string inside a fresh checkpoint and close it, so the
-    edits are attributable and reversible like any other modification."""
-    entry = StackEntry(0, 0.0)
-    for tok in edits:
-        entry.modifications.append(
-            (STATE, apply_pla(policy, STATE, _EDIT_TARGET[tok], _EDIT_GAMMA[tok]))
-        )
-    entry.e = 0
-    return entry
-
-
 @dataclass
 class LevinResult:
     program: tuple[str, ...] | None
@@ -370,20 +358,13 @@ class LevinResult:
     trials: int
     found: bool
 
-    def to_json(self) -> dict:
-        return {
-            "program": list(self.program) if self.program is not None else None,
-            "phase": self.phase,
-            "trials": self.trials,
-            "found": self.found,
-        }
-
 
 def _trial(
     edits: tuple[str, ...], predicate, env_factory, trial_steps: int, seed: int
 ) -> bool:
     policy = Policy.uniform()
-    apply_edit_program(policy, edits)
+    for tok in edits:
+        apply_pla(policy, STATE, _EDIT_TARGET[tok], _EDIT_GAMMA[tok])
     trace = run_learner(
         env_factory(), trial_steps, seed, learn=False, record_steps=True, policy=policy
     )
@@ -395,7 +376,6 @@ def levin_search_pmp(
     env_factory,
     trial_steps: int,
     max_phase: int,
-    dsl_max_len: int | None = None,
     seed: int = 0,
 ) -> LevinResult:
     """Phased search over edit programs.  Phase i admits programs of length
@@ -408,10 +388,7 @@ def levin_search_pmp(
     cache: dict[tuple[str, ...], bool] = {}
     trials = 0
     for phase in range(1, max_phase + 1):
-        top = phase // 2
-        if dsl_max_len is not None:
-            top = min(top, dsl_max_len)
-        for p in edit_programs(top):
+        for p in edit_programs(phase // 2):
             if (1 << phase) < trial_steps * (4 ** len(p)):
                 continue
             if p in cache:

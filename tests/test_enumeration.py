@@ -7,6 +7,7 @@ from reference_machine import index_to_program as index_to_program_by_digits
 
 from omni import machine
 from omni.enumeration import (
+    DovetailRegistry,
     dovetail,
     dovetail_step_owner,
     index_to_program,
@@ -152,3 +153,11 @@ def test_dovetail_lazy_mode():
     # under lazy rules nothing halts except via the HALT instruction
     assert not reg.entries[2].halted  # "0" starves instead of halting
     assert reg.entries[12].halted  # ",1" executes HALT
+
+
+def test_snapshot_rows_round_trip():
+    reg = dovetail(2**12, mode=machine.LAZY)
+    assert DovetailRegistry.from_rows(reg.snapshot_rows()) == reg
+    # and through JSON, as omni dedup reads a snapshot file
+    rows = [json.loads(json.dumps(row)) for row in reg.snapshot_rows()]
+    assert DovetailRegistry.from_rows(rows) == reg

@@ -124,7 +124,8 @@ def test_mc_tracks_enumeration():
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=40, deadline=None)
 def test_guess_runner_equals_sampled_reference(seed):
-    fast = prior._run_guess(prior._sample_key(123, seed), 40)
+    ints = prior._guess(prior._sample_key(123, seed), 40, 40)
+    fast = None if ints is None else machine.to_str(ints)
     _, out, status, *_ = reference_run(
         max_steps=40, mode=machine.LAZY, source=trinary_source(123, seed)
     )
@@ -225,3 +226,21 @@ def test_dual_canonical_mass_construction():
     t3 = enumerate_prior("", 4, 200).exact
     dual = enumerate_prior("", 5, 200, variant=machine.DUAL).exact
     assert dual >= Fraction(t3, 3)
+
+
+def test_dual_mass_is_selectors_plus_two_thirds_of_t3():
+    # DUAL's canonical programs are "," and then "0"+p and "1"+p for each
+    # T3 canonical p of length <= L-1 at budget B-1, and "1"+p prints p's
+    # output with 0 and 1 swapped.  T3 is symmetric in 0 and 1, so both
+    # tables carry a third of the T3 mass each; "," adds 1/3 to the empty
+    # output once L >= 1.
+    targets = ["".join(p) for n in range(4) for p in itertools.product("01,", repeat=n)]
+    for t in targets:
+        for budget in (2, 3, 17, 200):
+            for max_len in range(9):
+                s = int(t == "" and max_len >= 1)
+                t3 = enumerate_prior(t, max_len - 1, budget - 1)
+                dual = enumerate_prior(t, max_len, budget, variant=machine.DUAL)
+                case = (t, max_len, budget)
+                assert dual.exact == Fraction(s, 3) + Fraction(2, 3) * t3.exact, case
+                assert dual.hits == s + 2 * t3.hits, case
