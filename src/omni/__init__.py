@@ -28,7 +28,6 @@ from .enumeration import (
     DovetailRegistry,
     RegistryEntry,
     dovetail,
-    dovetail_step_owner,
     index_to_program,
     program_to_index,
     programs,
@@ -43,17 +42,14 @@ from .machine import (
     T3,
     T3C,
     RunResult,
-    is_canonical,
     run,
 )
 from .multiverse import (
     END_MARKER,
     DedupGroup,
-    PartialHistory,
     UniverseState,
     dedup_universes,
     parse_evolution,
-    partial_history,
 )
 from .prior import (
     KraftReport,
@@ -72,7 +68,6 @@ from .ssa import (
     Policy,
     SwitchingBandit,
     apply_pla,
-    levin_search_pmp,
     run_learner,
     ssc_evaluate,
     ssc_holds,

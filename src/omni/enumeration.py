@@ -71,13 +71,6 @@ def programs(max_len: int, min_len: int = 0):
         yield from itertools.product((0, 1, 2), repeat=length)
 
 
-def dovetail_step_owner(t: int) -> int:
-    """Owner of global step t (1-based): exponent of 2 in t, plus one."""
-    if t < 1:
-        raise ValueError("steps are 1-based")
-    return (t & -t).bit_length()
-
-
 def steps_offered(total_steps: int, k: int) -> int:
     """How many of the first total_steps global steps go to A_k: the count
     of t <= total_steps with owner(t) == k, which is total_steps/2^k give or
@@ -137,12 +130,15 @@ class DovetailRegistry:
     @classmethod
     def from_rows(cls, rows: list) -> "DovetailRegistry":
         """The registry whose snapshot_rows() are rows, as read back from
-        JSON; ValueError when rows are not such a snapshot."""
+        JSON; ValueError when rows are not such a snapshot, one with an
+        index given twice included."""
         if not rows or not isinstance(rows[0], dict) or rows[0].get("kind") != _SNAPSHOT_KIND:
             raise ValueError("snapshot is not a dovetail registry")
         head, body = rows[0], rows[1:]
-        if not _has_fields(head, _HEAD_FIELDS) or not all(
-            _has_fields(row, _ROW_FIELDS) and type(row.get("k")) is int for row in body
+        if (
+            not _has_fields(head, _HEAD_FIELDS)
+            or not all(_has_fields(row, _ROW_FIELDS) and type(row.get("k")) is int for row in body)
+            or len({row["k"] for row in body}) < len(body)  # an index given twice
         ):
             raise ValueError("malformed dovetail registry snapshot")
         entries = {

@@ -53,6 +53,13 @@ proofs:
   are the only register-sensitive branches, so the shifted replay makes
   the register climb forever).
 
+Two records, one entry per key (ip, anchor) at most, find the repeats:
+the keys met at register 0, and each key's latest visit at a register
+>= 1 with its step.  They decide every run on a fixed tape: if the
+register is 0 infinitely often, a key recurs at 0; otherwise every branch
+is fixed after the last zero, so each key recurs with the same register
+or a larger one.
+
 No instruction reads the output, so the loop records leave its length out:
 a repeat loops forever whatever it prints, and keying on the length would
 let a printing loop run on until the budget.  The records start afresh at
@@ -238,7 +245,7 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
         ip, reg, anchor, out, steps = state
     k = len(out)
     last_zero = 0
-    seen = None
+    zeros = last = None  # the loop records; see the module docstring
     while steps < budget:
         if ip >= n - 1:
             if draw is None:
@@ -247,20 +254,22 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
                 tape += draw()
                 n = len(tape)
         if steps >= _WARMUP:
-            if seen is None:
-                seen = {}
+            if last is None:
+                zeros, last = set(), {}
             key = (ip, anchor)
-            hit = seen.get(key)
-            if hit is None:
-                seen[key] = (reg, steps)
+            if reg:
+                hit = last.get(key)
+                if hit is not None:
+                    reg0, step0 = hit
+                    if reg == reg0:
+                        return None, None  # exact state repeat: cycles forever
+                    if reg > reg0 and last_zero < step0:
+                        return None, None  # register climbs without a zero: diverges
+                last[key] = (reg, steps)
+            elif key in zeros:
+                return None, None  # exact state repeat at register 0
             else:
-                reg0, step0 = hit
-                if reg == reg0:
-                    return None, None  # exact state repeat: cycles forever
-                if reg > reg0 and reg0 >= 1 and last_zero < step0:
-                    return None, None  # register climbs without a zero: diverges
-                if reg < reg0:
-                    seen[key] = (reg, steps)
+                zeros.add(key)
         op = tape[ip] * 3 + tape[ip + 1]
         ip += 2
         steps += 1
@@ -399,11 +408,3 @@ def _run_dual(program, prog, max_steps, finite, out_cap):
         steps + 1,
         truncated,
     )
-
-
-def is_canonical(
-    program: str, budget: int, variant: str = T3, aux: str | None = None
-) -> bool:
-    """True iff the lazy-mode run halts consuming exactly len(program)."""
-    r = run(program, budget, LAZY, variant, aux)
-    return r.halted and r.consumed == len(program)

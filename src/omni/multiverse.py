@@ -1,4 +1,4 @@
-"""Evolutions as symbol strings, partial histories, and output dedup.
+"""Evolutions as symbol strings, and output dedup.
 
 An evolution is a string over {'0','1',','} where ',' closes a state, so
 "0,1,00," reads: state "0", then "1", then "00".  Whatever follows the last
@@ -22,13 +22,6 @@ class UniverseState:
     l: int  # 1-based position in its evolution; the big bang is l == 1
 
 
-@dataclass
-class PartialHistory:
-    start: int  # 1-based, inclusive
-    end: int
-    symbols: str
-
-
 def parse_evolution(e: str, complete: bool = True) -> list[UniverseState]:
     to_ints(e)  # symbol validation only
     segments = e.split(",")
@@ -36,13 +29,6 @@ def parse_evolution(e: str, complete: bool = True) -> list[UniverseState]:
     if complete and segments[-1]:
         states.append(segments[-1])
     return [UniverseState(bits, l) for l, bits in enumerate(states, start=1)]
-
-
-def partial_history(e: str, i: int, j: int) -> PartialHistory:
-    """Symbols i..j of the evolution, 1-based and inclusive on both ends."""
-    if not (1 <= i <= j <= len(e)):
-        raise ValueError(f"history range [{i}, {j}] out of range for length {len(e)}")
-    return PartialHistory(i, j, e[i - 1 : j])
 
 
 @dataclass

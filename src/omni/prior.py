@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count
+from itertools import count, product
 
 from . import machine
 from .enumeration import programs
@@ -184,13 +184,28 @@ def estimate_prior_mc(
     return estimate_prior_mc_batch([target], samples, budget, seed, workers)[target]
 
 
+_SHORTLEX = str.maketrans(",", "2")  # digit order 0 < 1 < ','
+# sigma on every string of up to four symbols: each even-aligned 00 <-> 01.
+# Every fetch reads an even-aligned pair, so sigma(p) runs as p does, but
+# prints a 1 for each 0 that p prints and a 0 for each 1.
+_SIGMA4 = {
+    q: "".join({"00": "01", "01": "00"}.get(q[i : i + 2], q[i : i + 2]) for i in (0, 2))
+    for n in range(5)
+    for q in map("".join, product(machine.SYMBOLS, repeat=n))
+}
+
+
+def _sigma(p: str) -> str:
+    return "".join([_SIGMA4[p[i : i + 4]] for i in range(0, len(p), 4)])
+
+
 def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     """Yield (program, output ints) of the canonical programs up to max_len
     whose output is a prefix of target (all of them without one), in one
-    lazy-mode walk (machine._witnesses), lexicographic but for DUAL's ','
-    first.  A DUAL program is its selector symbol and then a T3 program run
-    at budget - 1: ',' alone, then '0' + p, then '1' + p walked against the
-    swapped target.
+    lazy-mode walk (machine._witnesses), lexicographic for T3.  A DUAL
+    program is its selector symbol and then a T3 program run at budget - 1:
+    ',' alone, then for each p of the T3 walk, '0' + p and '1' + sigma(p).
+    The '1' table swaps back what sigma swaps, so both print what p prints.
     """
     machine.check_inputs(budget)
     cap = budget if target is None else len(target)
@@ -199,29 +214,22 @@ def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     elif variant == DUAL:
         if max_len >= 1:
             yield ",", ()
-        swap = (1, 0, 2).__getitem__
-        walk = partial(machine._witnesses, max_len - 1, budget - 1, cap, mode=LAZY)
-        if target is None:
-            zero = one = list(walk())  # the '1' table's programs are the '0' table's
-        else:
-            zero, one = walk(target), walk(tuple(map(swap, target)))
-        for p, out in zero:
+        for p, out in machine._witnesses(max_len - 1, budget - 1, cap, target, mode=LAZY):
             yield "0" + p, out
-        for p, out in one:
-            yield "1" + p, tuple(map(swap, out))
+            yield "1" + _sigma(p), out
     else:
         raise ValueError(f"no canonical programs for variant {variant!r}")
 
 
 def canonical_programs(max_len: int, budget: int, variant: str = T3):
     """Yield (program, output) over canonical programs up to max_len,
-    shortlex order: one lexicographic walk (_walk), stably sorted by length.
+    shortlex order: one walk (_walk), sorted by length, then digits.
 
     Raises ValueError for a budget below 1 and for variants other than T3
     and DUAL.
     """
     walked = [(p, to_str(out)) for p, out in _walk(max_len, budget, variant)]
-    yield from sorted(walked, key=lambda item: len(item[0]))
+    yield from sorted(walked, key=lambda item: (len(item[0]), item[0].translate(_SHORTLEX)))
 
 
 def enumerate_prior(

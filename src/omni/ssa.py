@@ -78,12 +78,6 @@ class Policy:
         n = len(ACTIONS)
         return cls({STATE: [1.0 / n] * n})
 
-    def probs(self, state: str) -> list[float]:
-        return self.vectors[state]
-
-    def clone(self) -> "Policy":
-        return Policy({s: list(v) for s, v in self.vectors.items()})
-
 
 def select_action(policy: Policy, state: str, rng: random.Random) -> str:
     r = rng.random()
@@ -236,7 +230,6 @@ def run_learner(
     seed: int,
     learn: bool = True,
     record_steps: bool = True,
-    policy: Policy | None = None,
 ) -> LearnerTrace:
     """Run the agent for total_steps actions and evaluate the story one last
     time at the horizon, so the returned checkpoint chain always satisfies
@@ -244,7 +237,7 @@ def run_learner(
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     rng = random.Random(seed)
-    policy = policy if policy is not None else Policy.uniform()
+    policy = Policy.uniform()
     stack: list[StackEntry] = []
     events: list[dict] = []
     actions: list[int] | None = [] if record_steps else None
@@ -328,74 +321,3 @@ def uniform_baseline(env, total_steps: int, seed: int) -> LearnerTrace:
     modifier actions do nothing.  Expected reward is 1/15 per step."""
     return run_learner(env, total_steps, seed, learn=False, record_steps=False)
 
-
-# ---------------------------------------------------------------------------
-# Searching over edit programs.
-
-EDIT_TOKENS = ["U0", "U1", "D0", "D1"]
-_EDIT_TARGET = {"U0": "arm0", "U1": "arm1", "D0": "arm0", "D1": "arm1"}
-_EDIT_GAMMA = {"U0": GAMMA_UP, "U1": GAMMA_UP, "D0": GAMMA_DOWN, "D1": GAMMA_DOWN}
-
-
-def edit_programs(max_len: int):
-    """All token strings up to max_len in shortlex order, empty first."""
-    frontier: list[tuple[str, ...]] = [()]
-    yield ()
-    for _ in range(max_len):
-        nxt = []
-        for p in frontier:
-            for tok in EDIT_TOKENS:
-                q = p + (tok,)
-                yield q
-                nxt.append(q)
-        frontier = nxt
-
-
-@dataclass
-class LevinResult:
-    program: tuple[str, ...] | None
-    phase: int
-    trials: int
-    found: bool
-
-
-def _trial(
-    edits: tuple[str, ...], predicate, env_factory, trial_steps: int, seed: int
-) -> bool:
-    policy = Policy.uniform()
-    for tok in edits:
-        apply_pla(policy, STATE, _EDIT_TARGET[tok], _EDIT_GAMMA[tok])
-    trace = run_learner(
-        env_factory(), trial_steps, seed, learn=False, record_steps=True, policy=policy
-    )
-    return bool(predicate(trace))
-
-
-def levin_search_pmp(
-    predicate,
-    env_factory,
-    trial_steps: int,
-    max_phase: int,
-    seed: int = 0,
-) -> LevinResult:
-    """Phased search over edit programs.  Phase i admits programs of length
-    at most i/2 whose budget 2^i * 4^-|p| covers the trial length; each
-    program is tried once (trials are deterministic given the seed) and the
-    first success, scanning phases outward and shortlex within a phase, is
-    returned.  Because shorter programs are admitted in earlier phases and
-    failures are cached, the returned program is the shortlex-least success
-    among everything admitted."""
-    cache: dict[tuple[str, ...], bool] = {}
-    trials = 0
-    for phase in range(1, max_phase + 1):
-        for p in edit_programs(phase // 2):
-            if (1 << phase) < trial_steps * (4 ** len(p)):
-                continue
-            if p in cache:
-                continue
-            ok = _trial(p, predicate, env_factory, trial_steps, seed)
-            cache[p] = ok
-            trials += 1
-            if ok:
-                return LevinResult(p, phase, trials, True)
-    return LevinResult(None, max_phase, trials, False)

@@ -175,6 +175,23 @@ def test_dedup_rejects_non_registry_file(tmp_path, capsys):
         assert code == 2, text
 
 
+def test_dedup_rejects_a_repeated_index(tmp_path, capsys):
+    # two rows for k = 3 are not a snapshot; keeping either would guess
+    head = {
+        "schema": 1, "kind": "dovetail-registry", "cap": 64,
+        "requested_steps": 10, "executed_steps": 2, "mode": "finite",
+    }
+    row = {"k": 3, "program": "1", "steps": 1, "halted": True, "truncated": False}
+    snap = tmp_path / "dup.jsonl"
+    lines = [head, row | {"output_prefix": "0"}, row | {"output_prefix": "1"}]
+    snap.write_text("".join(json.dumps(r) + "\n" for r in lines))
+    code, out = run_cli(capsys, "dedup", "--snapshot", str(snap), "--prefix-len", "1")
+    assert code == 2 and out == ""
+    snap.write_text("".join(json.dumps(r) + "\n" for r in lines[:2]))
+    payload = run_json(capsys, "dedup", "--snapshot", str(snap), "--prefix-len", "1")
+    assert payload["groups"] == [{"prefix": "0", "members": [3]}]
+
+
 def test_census(capsys):
     payload = run_json(
         capsys, "census", "--n", "2", "--c", "1", "--max-len", "4", "--budget", "100"

@@ -9,7 +9,6 @@ from omni import machine
 from omni.enumeration import (
     DovetailRegistry,
     dovetail,
-    dovetail_step_owner,
     index_to_program,
     program_to_index,
     programs,
@@ -99,7 +98,10 @@ def _owner_by_definition(t):
 @given(st.integers(min_value=1, max_value=10**6))
 @settings(max_examples=300)
 def test_step_owner_closed_form(t):
-    assert dovetail_step_owner(t) == _owner_by_definition(t)
+    # step t raises exactly its owner's offered count by one
+    gained = [k for k in range(1, 22) if steps_offered(t, k) != steps_offered(t - 1, k)]
+    assert gained == [_owner_by_definition(t)]
+    assert steps_offered(t, gained[0]) - steps_offered(t - 1, gained[0]) == 1
 
 
 @given(st.integers(min_value=1, max_value=4096))
@@ -107,7 +109,7 @@ def test_step_owner_closed_form(t):
 def test_steps_offered_counts_owners(n):
     counts = {}
     for t in range(1, n + 1):
-        k = dovetail_step_owner(t)
+        k = _owner_by_definition(t)
         counts[k] = counts.get(k, 0) + 1
     for k in range(1, 16):
         assert steps_offered(n, k) == counts.get(k, 0)

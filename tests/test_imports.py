@@ -1,7 +1,11 @@
-"""No unused module-level imports in src/ or tests/ (stdlib ast, no linter)."""
+"""No unused module-level imports in src/ or tests/, and no name in src/ that
+only tests read (stdlib ast, no linter)."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import omni
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -72,3 +76,39 @@ def test_every_private_name_in_src_is_read_in_src():
         if name not in read
     ]
     assert unread == []
+
+
+def _reads_outside_own_definition(path):
+    """(name, owner) for each ast.Name or ast.Attribute read in the module,
+    where owner is the name of the top-level function or class it sits
+    in, or None."""
+    tree = ast.parse(path.read_text(), str(path))
+    reads = set()
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                reads.add((n.id, owner))
+            elif isinstance(n, ast.Attribute):
+                reads.add((n.attr, owner))
+    return reads
+
+
+def test_every_exported_function_and_class_has_a_caller():
+    # a public name only tests call is API the package does not need
+    exported = [
+        name
+        for name in omni.__all__
+        if inspect.isfunction(getattr(omni, name)) or inspect.isclass(getattr(omni, name))
+    ]
+    assert len(exported) > 30
+    read = set()
+    for path in sorted((ROOT / "src" / "omni").glob("*.py")):
+        if path.name != "__init__.py":
+            read |= {name for name, owner in _reads_outside_own_definition(path) if owner != name}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        read |= {name for name, _ in _reads_outside_own_definition(path)}
+    # parse_evolution waits for its first caller, the perceived-randomness
+    # report (ROADMAP item 8)
+    uncalled = [name for name in exported if name not in read and name != "parse_evolution"]
+    assert uncalled == []

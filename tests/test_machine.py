@@ -123,11 +123,16 @@ def test_max_steps_validation():
 
 
 def test_is_canonical():
-    assert machine.is_canonical(",1", 10)
-    assert machine.is_canonical("00,1", 10)
-    assert not machine.is_canonical("00", 10)  # lazy run starves
-    assert not machine.is_canonical("00,10", 10)  # trailing symbol unread
-    assert not machine.is_canonical("", 10)
+    # canonical: the lazy run halts having consumed exactly the program
+    def canonical(p):
+        r = run(p, 10, LAZY)
+        return r.halted and r.consumed == len(p)
+
+    assert canonical(",1")
+    assert canonical("00,1")
+    assert not canonical("00")  # lazy run starves
+    assert not canonical("00,10")  # trailing symbol unread
+    assert not canonical("")
 
 
 @pytest.mark.parametrize("targeted", (True, False))

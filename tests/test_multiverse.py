@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from omni import multiverse
 from omni.enumeration import DovetailRegistry, RegistryEntry
-from omni.multiverse import dedup_universes, parse_evolution, partial_history
+from omni.multiverse import dedup_universes, parse_evolution
 
 bits_st = st.text(alphabet="01", max_size=5)
 
@@ -31,25 +31,6 @@ def test_parse_empty_and_bad_symbols():
 def test_parse_reconstructs_joined_states(states):
     e = ",".join(states) + ","
     assert [s.bits for s in parse_evolution(e)] == states
-
-
-def test_partial_history_frozen():
-    ph = partial_history("0,01,011", 3, 5)
-    assert (ph.start, ph.end, ph.symbols) == (3, 5, "01,")
-
-
-@given(st.text(alphabet="01,", min_size=1, max_size=12), st.data())
-@settings(max_examples=200)
-def test_partial_history_slices_one_based(e, data):
-    i = data.draw(st.integers(min_value=1, max_value=len(e)))
-    j = data.draw(st.integers(min_value=i, max_value=len(e)))
-    assert partial_history(e, i, j).symbols == e[i - 1 : j]
-
-
-def test_partial_history_bounds():
-    for i, j in [(0, 1), (1, 4), (3, 2)]:
-        with pytest.raises(ValueError):
-            partial_history("0,0", i, j)
 
 
 def _registry(rows, cap=16):

@@ -83,7 +83,9 @@ def test_canonicalize_witness_cases():
     # a pending skip would swallow a plain HALT; padding restores it
     assert canonicalize_witness("1,", 100) == "1,,,,1"
     for w in ("", "00", "1,"):
-        assert machine.is_canonical(canonicalize_witness(w, 100), 100)
+        c = canonicalize_witness(w, 100)
+        r = machine.run(c, 100, machine.LAZY)
+        assert r.halted and r.consumed == len(c)
 
 
 def test_sample_seed_spreads():

@@ -274,8 +274,8 @@ class _StepLimit(int):
 def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
     # after the warm-up and `start` INCs, the loop DEC DEC INC LOOP takes the
     # register down by one a pass until it cycles at 1; the searchers see the
-    # cycle only because each lower register replaces the one stored for the
-    # loop state, and without that they run to the budget
+    # cycle only because each visit's register replaces the one stored for
+    # the loop state, and without that they run to the budget
     p = "10" * 8 + "11" * 8 + "10" * start + ",," + "1111" + "10" + ",0"
     _, _, status, *_ = reference_run(p, 300)
     assert status == machine.BUDGET
@@ -286,6 +286,28 @@ def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
     budget = _StepLimit(10**6, limit=100)
     assert machine._resume(ints, budget, 3)[0] is None
     assert 0 < budget.checks
+
+
+def test_pruned_runs_see_a_loop_state_first_met_at_register_zero():
+    # INC x4 MARK DEC LOOP counts down to 0; then OUT0 OUT0 MARK LOOP INC
+    # LOOP spins on the last LOOP at register 1, a loop state first stored
+    # at register 0
+    tape = machine.to_ints("10101010,,11,00000,,,010,0")
+    budget = _StepLimit(10**6, limit=100)
+    assert machine._resume(tape, budget, 2) == (None, None)
+    assert 0 < budget.checks
+
+
+def test_pruned_runs_decide_every_countdown_tape():
+    # INC^a MARK DEC LOOP, then every body of up to four instructions: each
+    # run halts, reaches the end of its tape or is proven to loop, and none
+    # runs to the budget (3,000 checks in all)
+    bodies = ["".join(b) for n in range(5) for b in itertools.product(INSTRUCTIONS, repeat=n)]
+    assert len(bodies) == 7381
+    for a in range(1, 9):
+        for body in bodies:
+            budget = _StepLimit(3000, limit=3000)
+            machine._resume(machine.to_ints("10" * a + ",,11,0" + body), budget, 3000)
 
 
 def test_pruned_searchers_abandon_a_printing_loop():

@@ -11,9 +11,7 @@ from omni.ssa import (
     StackEntry,
     SwitchingBandit,
     apply_pla,
-    edit_programs,
     floor_renormalize,
-    levin_search_pmp,
     run_learner,
     select_action,
     ssc_evaluate,
@@ -30,7 +28,7 @@ def test_action_set_is_closed_and_ordered():
 
 def test_uniform_policy():
     p = Policy.uniform()
-    vec = p.probs("B")
+    vec = p.vectors["B"]
     assert len(vec) == 15 and sum(vec) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -47,24 +45,24 @@ def test_apply_pla_doubling_ladder():
     p = Policy.uniform()
     for _ in range(6):
         apply_pla(p, "B", "arm0", 2.0)
-    assert p.probs("B")[0] < 0.9
+    assert p.vectors["B"][0] < 0.9
     apply_pla(p, "B", "arm0", 2.0)
-    assert p.probs("B")[0] >= 0.9
-    assert sum(p.probs("B")) == pytest.approx(1.0, abs=1e-9)
+    assert p.vectors["B"][0] >= 0.9
+    assert sum(p.vectors["B"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apply_pla_clamps_gamma():
     a, b = Policy.uniform(), Policy.uniform()
     apply_pla(a, "B", "wait", 100.0)
     apply_pla(b, "B", "wait", 4.0)
-    assert a.probs("B") == b.probs("B")
+    assert a.vectors["B"] == b.vectors["B"]
 
 
 @given(st.lists(st.tuples(st.integers(0, 14), st.floats(0.25, 4.0)), max_size=25))
 @settings(max_examples=150)
 def test_pla_rollback_is_bit_identical(edits):
     p = Policy.uniform()
-    before = p.clone().vectors
+    before = Policy.uniform().vectors
     saved = [apply_pla(p, "B", ACTIONS[i], g) for i, g in edits]
     for vec in reversed(saved):
         p.vectors["B"] = vec
@@ -77,7 +75,7 @@ def test_pla_keeps_vector_a_distribution(edits):
     p = Policy.uniform()
     for i, g in edits:
         apply_pla(p, "B", ACTIONS[i], g)
-    vec = p.probs("B")
+    vec = p.vectors["B"]
     assert sum(vec) == pytest.approx(1.0, abs=1e-9)
     assert min(vec) >= ssa.PROB_FLOOR - 1e-15
 
@@ -94,7 +92,7 @@ def test_ssc_holds_chain_rules():
 
 def test_ssc_evaluate_pops_and_restores():
     policy = Policy.uniform()
-    p0 = policy.clone().vectors
+    p0 = Policy.uniform().vectors
     e1 = StackEntry(2, 2.0)  # rate since 2 would need > (R-2)/(t-2)
     e1.modifications.append(("B", apply_pla(policy, "B", "arm1", 2.0)))
     e1.e = 3
@@ -169,27 +167,3 @@ def test_learner_beats_baseline_spot_check():
     base = uniform_baseline(SwitchingBandit(200), 20_000, seed=1)
     assert learner.mean_reward > base.mean_reward
 
-
-def test_edit_programs_shortlex():
-    seq = list(edit_programs(2))
-    assert seq[:6] == [(), ("U0",), ("U1",), ("D0",), ("D1",), ("U0", "U0")]
-    assert len(seq) == 1 + 4 + 16
-
-
-def test_levin_search_matches_exhaustive_oracle():
-    # threshold 0.5 needs four doublings: 16/30 >= 0.5 > 8/22
-    predicate = lambda trace: trace.final_policy["B"][0] >= 0.5
-    env_factory = lambda: SwitchingBandit(10)
-    res = levin_search_pmp(predicate, env_factory, trial_steps=20, max_phase=13, seed=3)
-    oracle = next(
-        p for p in edit_programs(6) if ssa._trial(p, predicate, env_factory, 20, 3)
-    )
-    assert res.found and res.program == oracle == ("U0",) * 4
-
-
-def test_levin_search_respects_budget_schedule():
-    predicate = lambda trace: trace.final_policy["B"][0] >= 0.5
-    env_factory = lambda: SwitchingBandit(10)
-    # phase cap too low to afford any length-4 program: 2^9 < 20 * 4^4
-    res = levin_search_pmp(predicate, env_factory, trial_steps=20, max_phase=9, seed=3)
-    assert not res.found and res.program is None
