@@ -130,8 +130,9 @@ class DovetailRegistry:
     @classmethod
     def from_rows(cls, rows: list) -> "DovetailRegistry":
         """The registry whose snapshot_rows() are rows, as read back from
-        JSON; ValueError when rows are not such a snapshot, one with an
-        index given twice included."""
+        JSON; ValueError when rows are not such a snapshot: an index given
+        twice, an index below 1, a program that is not A_k, or an output
+        prefix longer than the header's cap included."""
         if not rows or not isinstance(rows[0], dict) or rows[0].get("kind") != _SNAPSHOT_KIND:
             raise ValueError("snapshot is not a dovetail registry")
         head, body = rows[0], rows[1:]
@@ -139,6 +140,12 @@ class DovetailRegistry:
             not _has_fields(head, _HEAD_FIELDS)
             or not all(_has_fields(row, _ROW_FIELDS) and type(row.get("k")) is int for row in body)
             or len({row["k"] for row in body}) < len(body)  # an index given twice
+            or not all(
+                row["k"] >= 1
+                and row["program"] == index_to_program(row["k"])
+                and len(row["output_prefix"]) <= head["cap"]
+                for row in body
+            )
         ):
             raise ValueError("malformed dovetail registry snapshot")
         entries = {

@@ -36,7 +36,8 @@ Run modes:
             'budget' with the partial output.
 
 Two fetch-decode loops run everything.  _run_ints, the interpreter core,
-runs fixed program strings only.  Exhaustive sweeps (prior's exact sums,
+runs fixed program strings only (run, and through it dovetail and
+compiler_prefix_check).  Exhaustive sweeps (prior's exact sums,
 complexity's searches and census) do not run each of the 3^L tape strings
 from square 0.  _witnesses walks the tape tree depth first, and a node
 resumes its parent's suspended run in _resume, the other loop, on the
@@ -53,19 +54,34 @@ proofs:
   are the only register-sensitive branches, so the shifted replay makes
   the register climb forever).
 
-Two records, one entry per key (ip, anchor) at most, find the repeats:
-the keys met at register 0, and each key's latest visit at a register
->= 1 with its step.  They decide every run on a fixed tape: if the
-register is 0 infinitely often, a key recurs at 0; otherwise every branch
-is fixed after the last zero, so each key recurs with the same register
-or a larger one.
+Both loops look for repeats at two events only, once a run has taken
+_WARMUP steps: a taken LOOP, the only backward move, where the key
+(ip, anchor) is just the anchor; and a DEC that reaches 0.  Two records,
+one entry per key at most, hold what was seen: the keys met at register 0,
+and each key's latest visit at a taken LOOP (register >= 1) with its step.
+They decide every run on a fixed tape.  A run that neither halts nor
+leaves its tape jumps back infinitely often.  If its register is 0
+infinitely often, a DEC takes it to 0 infinitely often, and a key recurs
+at 0.  Otherwise every branch is fixed after the last zero, so each LOOP
+key recurs with the same register or a larger one.
 
-No instruction reads the output, so the loop records leave its length out:
-a repeat loops forever whatever it prints, and keying on the length would
-let a printing loop run on until the budget.  The records start afresh at
-every resume: a resume executes only instructions already on the tape, so
-what it proves holds on every extension.  Neither choice changes a
-result, only when a run is abandoned.
+_resume abandons a proven run.  _run_ints fast-forwards it instead: the
+two visits of the proof span one period of P steps that moved the
+register by d (0 for a cycle) and printed some output, and every later
+period repeats it.  For the k whole periods left in the budget, the run
+adds k*P steps and k*d to the register, and prints the period's output k
+times, stopping at out_cap (and setting truncated when the cap cuts it).
+consumed does not change, since a period visits no new square.  The
+remainder, under one period, runs step by step.  With no out_cap the
+output is built in full, as stepping would build it.
+
+The records' keys leave the output length out (_run_ints keeps it only to
+repeat a period's output): no instruction reads the output, so a repeat
+loops forever whatever it prints, and keying on the length would let a
+printing loop run on until the budget.  The records start afresh at every
+resume: a resume executes only instructions already on the tape, so what
+it proves holds on every extension.  Neither choice changes a result,
+only when a run is abandoned or how many steps it skips.
 
 prior's Monte Carlo sampler runs on _resume too, with a draw that fills the
 tape from the sample's splitmix64 stream: a guessed run that reaches the
@@ -160,12 +176,16 @@ def _run_ints(prog, max_steps, finite, aux, out_cap=None):
     Returns (out_ints, halted, consumed, steps, truncated).
     aux switches on T3C semantics (',,' appends the whole aux tape).
     out_cap stops output growth at the cap (execution continues) and flips
-    the truncated flag.
+    the truncated flag.  A proven loop skips its whole periods left in the
+    budget (see the module docstring) and runs the rest step by step.
     """
     n = len(prog)
-    ip = reg = anchor = consumed = steps = 0
+    ip = reg = anchor = consumed = steps = last_zero = 0
     truncated = False
     out: list[int] = []
+    # the loop records, each visit as (register, steps, output length)
+    zeros: dict = {}
+    last: dict = {}
     while steps < max_steps:
         if ip >= n - 1:
             # off the end of the tape: a halt in finite mode, out of tape
@@ -188,6 +208,16 @@ def _run_ints(prog, max_steps, finite, aux, out_cap=None):
         elif op == _DEC:
             if reg:
                 reg -= 1
+                if not reg:
+                    last_zero = steps
+                    if steps >= _WARMUP:
+                        key = (ip, anchor)
+                        hit = zeros.get(key)
+                        zeros[key] = (0, steps, len(out))
+                        if hit is not None:  # exact state repeat at register 0
+                            reg, steps, truncated = _skip(
+                                hit, reg, steps, max_steps, out, out_cap, truncated
+                            )
         elif op == _SKIPZ:
             if reg == 0:
                 ip += 2
@@ -197,6 +227,15 @@ def _run_ints(prog, max_steps, finite, aux, out_cap=None):
         elif op == _LOOP:
             if reg:
                 ip = anchor
+                if steps >= _WARMUP:
+                    hit = last.get(ip)
+                    last[ip] = (reg, steps, len(out))
+                    if hit is not None and (
+                        reg == hit[0] or reg > hit[0] and last_zero < hit[1]
+                    ):  # a cycle, or a climb without a zero: diverges
+                        reg, steps, truncated = _skip(
+                            hit, reg, steps, max_steps, out, out_cap, truncated
+                        )
         elif op == _HALT:
             return out, True, consumed, steps, truncated
         elif aux is not None:  # ',,' in T3C
@@ -215,7 +254,35 @@ def _run_ints(prog, max_steps, finite, aux, out_cap=None):
     return out, False, consumed, steps, truncated
 
 
-_WARMUP = 16  # steps before the loop detector engages
+def _skip(hit, reg, steps, max_steps, out, out_cap, truncated):
+    """Fast-forward a proven loop by every whole period left in the budget.
+
+    hit is the loop state's previous visit (register, steps, output
+    length): one period took steps - hit[1] steps, moved the register by
+    reg - hit[0] and printed out[hit[2]:], and every later period repeats
+    it.  out grows in place, capped at out_cap; returns (reg, steps,
+    truncated).  At the cap, out[hit[2]:] is empty unless the period
+    printed, and an empty one leaves truncated as the period left it.
+    """
+    reg0, step0, k0 = hit
+    periods = (max_steps - steps) // (steps - step0)
+    if periods:
+        reg += periods * (reg - reg0)
+        steps += periods * (steps - step0)
+        seg = out[k0:]
+        if out_cap is None:
+            out += seg * periods
+        elif seg:
+            room = out_cap - len(out)
+            if len(seg) * periods > room:
+                out += (seg * (room // len(seg) + 1))[:room]
+                truncated = True
+            else:
+                out += seg * periods
+    return reg, steps, truncated
+
+
+_WARMUP = 16  # steps before the loop records engage
 # every string of m symbols in reverse lexicographic order, for m = 1..4: a
 # suspended run needs one to four more squares (four after a SKIPZ over the
 # tape's end) before its next fetch
@@ -253,23 +320,6 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
             while n < ip + 2:
                 tape += draw()
                 n = len(tape)
-        if steps >= _WARMUP:
-            if last is None:
-                zeros, last = set(), {}
-            key = (ip, anchor)
-            if reg:
-                hit = last.get(key)
-                if hit is not None:
-                    reg0, step0 = hit
-                    if reg == reg0:
-                        return None, None  # exact state repeat: cycles forever
-                    if reg > reg0 and last_zero < step0:
-                        return None, None  # register climbs without a zero: diverges
-                last[key] = (reg, steps)
-            elif key in zeros:
-                return None, None  # exact state repeat at register 0
-            else:
-                zeros.add(key)
         op = tape[ip] * 3 + tape[ip + 1]
         ip += 2
         steps += 1
@@ -285,12 +335,30 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
                 reg -= 1
                 if reg == 0:
                     last_zero = steps
+                    if steps >= _WARMUP:
+                        if zeros is None:
+                            zeros, last = set(), {}
+                        key = (ip, anchor)
+                        if key in zeros:
+                            return None, None  # exact state repeat at register 0
+                        zeros.add(key)
         elif op == _SKIPZ:
             if reg == 0:
                 ip += 2
         elif op == _LOOP:
             if reg:
                 ip = anchor
+                if steps >= _WARMUP:
+                    if last is None:
+                        zeros, last = set(), {}
+                    hit = last.get(ip)
+                    if hit is not None:
+                        reg0, step0 = hit
+                        if reg == reg0:
+                            return None, None  # exact state repeat: cycles forever
+                        if reg > reg0 and last_zero < step0:
+                            return None, None  # register climbs without a zero: diverges
+                    last[ip] = (reg, steps)
         elif op == _HALT:
             return out, None
         elif aux is not None:  # ',,' in T3C

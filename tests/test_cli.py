@@ -192,6 +192,40 @@ def test_dedup_rejects_a_repeated_index(tmp_path, capsys):
     assert payload["groups"] == [{"prefix": "0", "members": [3]}]
 
 
+def _dedup_one_row(tmp_path, capsys, **fields):
+    """Exit code and stdout of dedup on a header with cap 64 and one row,
+    A_3 = "1" printing "0" unless fields say otherwise."""
+    head = {
+        "schema": 1, "kind": "dovetail-registry", "cap": 64,
+        "requested_steps": 10, "executed_steps": 1, "mode": "finite",
+    }
+    row = {"k": 3, "program": "1", "steps": 1, "halted": True,
+           "output_prefix": "0", "truncated": False} | fields
+    snap = tmp_path / "one.jsonl"
+    snap.write_text(json.dumps(head) + "\n" + json.dumps(row) + "\n")
+    return run_cli(capsys, "dedup", "--snapshot", str(snap), "--prefix-len", "1")
+
+
+def test_dedup_accepts_a_valid_one_row_snapshot(tmp_path, capsys):
+    code, out = _dedup_one_row(tmp_path, capsys, output_prefix="0" * 64)
+    assert code == 0 and json.loads(out)["groups"] == [{"prefix": "0", "members": [3]}]
+
+
+def test_dedup_rejects_an_index_below_one(tmp_path, capsys):
+    for k in (0, -5):
+        assert _dedup_one_row(tmp_path, capsys, k=k) == (2, ""), k
+
+
+def test_dedup_rejects_a_program_that_is_not_a_k(tmp_path, capsys):
+    # A_3 is "1"
+    for program in ("0000", "0", ""):
+        assert _dedup_one_row(tmp_path, capsys, program=program) == (2, ""), program
+
+
+def test_dedup_rejects_an_output_prefix_longer_than_the_cap(tmp_path, capsys):
+    assert _dedup_one_row(tmp_path, capsys, output_prefix="0" * 65) == (2, "")
+
+
 def test_census(capsys):
     payload = run_json(
         capsys, "census", "--n", "2", "--c", "1", "--max-len", "4", "--budget", "100"

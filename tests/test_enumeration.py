@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference_machine import index_to_program as index_to_program_by_digits
+from reference_machine import reference_run
 
 from omni import machine
 from omni.enumeration import (
+    OUTPUT_CAP,
     DovetailRegistry,
     dovetail,
     index_to_program,
@@ -155,6 +157,30 @@ def test_dovetail_lazy_mode():
     # under lazy rules nothing halts except via the HALT instruction
     assert not reg.entries[2].halted  # "0" starves instead of halting
     assert reg.entries[12].halted  # ",1" executes HALT
+
+
+@pytest.mark.parametrize("mode", (machine.FINITE, machine.LAZY))
+def test_dovetail_at_a_3280_bit_clock(mode):
+    # A_k is offered 2^(3280 - k) steps, A_3281 one: every looping entry
+    # skips its proven loop's periods, and the entries offered 2^14 steps or
+    # fewer agree with the reference interpreter stepping them one by one
+    n = 2**3280
+    reg = dovetail(n, mode)
+    assert sorted(reg.entries) == list(range(1, 3282))
+    assert reg.total_steps == sum(e.steps_executed for e in reg.entries.values())
+    checked = 0
+    for k, e in reg.entries.items():
+        offered = steps_offered(n, k)
+        if offered <= 2**14:
+            _, out, status, _, steps, truncated = reference_run(e.program, offered, mode, out_cap=OUTPUT_CAP)
+            got = (e.output_prefix, e.halted, e.steps_executed, e.truncated)
+            assert got == (out, status == machine.HALTED, steps, truncated), k
+            checked += 1
+    assert checked == 16
+    # INC OUT0 LOOP prints and climbs forever: it uses its whole allotment
+    k = program_to_index("1000,0")
+    e = reg.entries[k]
+    assert (e.steps_executed, e.output_prefix, e.truncated) == (steps_offered(n, k), "0" * OUTPUT_CAP, True)
 
 
 def test_snapshot_rows_round_trip():

@@ -52,6 +52,35 @@ def test_run_matches_reference_on_all_short_programs(budget):
             assert _fields(got) == tuple(want), (p, budget, mode, variant, aux, cap)
 
 
+def _fields_by_cap(reference, caps):
+    """{cap: the fields run returns under it} from one uncapped reference
+    run: a cap keeps the first out_cap symbols, truncated when there are
+    more."""
+    _, out, status, consumed, steps, _ = reference
+    return {
+        cap: (out[:cap], status, consumed, steps, len(out) > cap)
+        if cap is not None
+        else (out, status, consumed, steps, False)
+        for cap in caps
+    }
+
+
+@pytest.mark.parametrize("budget, max_len", [(17, 8), (333, 8), (1_001, 7), (20_000, 6)])
+def test_fast_forwarded_runs_match_reference(budget, max_len):
+    # every loop among these programs is proven within a few periods, so
+    # run skips the rest of the budget in whole periods and steps through
+    # the remainder; the budgets leave remainders of every size, 1,001 is
+    # the budget compiler_prefix_check(6, 1000) gives its DUAL runs, and
+    # the caps bind before, during and (at 20,000) long after the skip
+    configs = ((T3, None), (T3C, "01"), (DUAL, None))
+    for p in map(machine.to_str, programs(max_len)):
+        for mode, (variant, aux) in itertools.product((FINITE, LAZY), configs):
+            reference = reference_run(p, budget, mode, variant, aux or "")
+            for cap, want in _fields_by_cap(reference, (None, 1, 2, 99, 4096)).items():
+                got = machine.run(p, budget, mode, variant, aux, cap)
+                assert _fields(got) == want, (p, budget, mode, variant, cap)
+
+
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_source_fed_run_matches_reference_on_all_short_programs(budget):
     # the program as a source that runs dry after its last symbol: the
@@ -239,6 +268,28 @@ def _check_searchers_on_bodies(prefix, budget=300):
         assert machine._resume(ints, budget, len(out))[0] == want, p
 
 
+def test_fast_forwarded_runs_match_reference_past_the_warm_up():
+    # eight INCs, then every body of up to four instructions: the loops the
+    # bodies build start as the loop records engage, and a cap of 2 is first
+    # reached inside the period a proof spans
+    bodies = itertools.chain.from_iterable(
+        itertools.product(INSTRUCTIONS, repeat=j) for j in range(5)
+    )
+    for p in ("10" * 8 + "".join(body) for body in bodies):
+        for cap, want in _fields_by_cap(reference_run(p, 333), (None, 1, 2, 99)).items():
+            assert _fields(machine.run(p, 333, out_cap=cap)) == want, (p, cap)
+
+
+@pytest.mark.parametrize("budget", (333, 20_001))
+def test_fast_forward_needs_no_zero_between_the_visits(budget):
+    # DEC OUT0 LOOP INC INC LOOP cycles through register 0, and its LOOP
+    # meets anchor 0 at registers 2, 1, 2, ...: the climb from 1 to 2 passed
+    # a zero, so it proves nothing, and a skip on it would stop the output
+    p = "1100,01010,0"
+    for cap, want in _fields_by_cap(reference_run(p, budget), (None, 4096)).items():
+        assert _fields(machine.run(p, budget, out_cap=cap)) == want, cap
+
+
 def test_pruned_searchers_match_reference_past_the_warm_up():
     # eight INCs, then the bodies: the loops these build are still running
     # when the cycle and divergence checks engage, which short programs
@@ -256,7 +307,7 @@ def test_pruned_searchers_match_reference_after_the_register_returns_to_zero():
 
 class _StepLimit(int):
     """A step budget that fails the test once a run has checked it more
-    than `limit` times; the searchers check it once per step."""
+    than `limit` times; a run checks it once per step."""
 
     def __new__(cls, budget, limit):
         self = super().__new__(cls, budget)
@@ -295,6 +346,40 @@ def test_pruned_runs_see_a_loop_state_first_met_at_register_zero():
     tape = machine.to_ints("10101010,,11,00000,,,010,0")
     budget = _StepLimit(10**6, limit=100)
     assert machine._resume(tape, budget, 2) == (None, None)
+    assert 0 < budget.checks
+
+
+@pytest.mark.parametrize(
+    "program, variant",
+    [
+        ("10,,00,0", T3),  # INC MARK OUT0 LOOP: a printing cycle
+        (",,100000,0", T3),  # MARK INC OUT0 OUT0 LOOP: the register climbs
+        ("0,,100000,0", DUAL),
+    ],
+)
+@pytest.mark.parametrize("mode", (FINITE, LAZY))
+def test_run_skips_a_proven_loop_to_a_2_to_200_step_budget(program, variant, mode):
+    budget = _StepLimit(2**200, limit=100)
+    r = machine.run(program, budget, mode, variant, out_cap=4096)
+    assert (r.output, r.status, r.steps, r.truncated) == ("0" * 4096, machine.BUDGET, 2**200, True)
+    assert r.consumed == len(program)
+
+
+def test_run_skips_a_loop_first_met_at_register_zero():
+    # INC x4 MARK DEC LOOP counts down to 0, OUT0 OUT0 prints, then the last
+    # LOOP spins on itself at register 1
+    budget = _StepLimit(2**200, limit=100)
+    r = machine.run("10101010,,11,00000,,,010,0", budget, out_cap=4096)
+    assert (r.output, r.status, r.steps, r.truncated) == ("00", machine.BUDGET, 2**200, False)
+    assert 0 < budget.checks
+
+
+def test_run_skips_a_cycle_through_register_zero():
+    # DEC OUT0 LOOP INC INC LOOP: only the record of register-0 states
+    # proves this cycle, and the run then skips to the end of its budget
+    budget = _StepLimit(2**200, limit=100)
+    r = machine.run("1100,01010,0", budget, out_cap=4096)
+    assert (r.output, r.steps, r.truncated) == ("0" * 4096, 2**200, True)
     assert 0 < budget.checks
 
 
