@@ -4,7 +4,8 @@ Every subcommand writes one JSON report (or a JSONL stream for the two
 registry-shaped outputs) to --out or stdout.  Reports carry "schema": 1;
 JSONL streams carry it in their header line.  Exit codes: 0 success, 1
 usage error, 2 guarded runtime error (bad program text, zero-probability
-state, snapshot/prefix mismatch, and similar).
+state, snapshot/prefix mismatch, a run printing more than 2^20 symbols,
+and similar).
 
 OMNI_SEED in the environment overrides --seed wherever a seed is consumed,
 so sweeps can be re-pointed without editing scripts.  Identical invocations
@@ -168,11 +169,16 @@ def _cmd_enumerate(args):
     _write(_enumerate_text(args.start, args.stop), args.out)
 
 
+_RUN_OUTPUT_CAP = 2**20  # output symbols a run report may hold
+
+
 def _cmd_run(args):
     aux = args.aux
     if args.variant == machine.T3C and aux is None:
         aux = ""
-    r = machine.run(args.program, args.max_steps, args.mode, args.variant, aux)
+    r = machine.run(args.program, args.max_steps, args.mode, args.variant, aux, _RUN_OUTPUT_CAP)
+    if r.truncated:
+        raise ValueError(f"the run printed more than {_RUN_OUTPUT_CAP} symbols")
     _emit_json(r.to_json(), args.out)
 
 

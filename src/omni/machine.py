@@ -35,15 +35,16 @@ Run modes:
             (or, for a fixed program string, out of symbols) gives status
             'budget' with the partial output.
 
-Two fetch-decode loops run everything.  _run_ints, the interpreter core,
-runs fixed program strings only (run, and through it dovetail and
-compiler_prefix_check).  Exhaustive sweeps (prior's exact sums,
-complexity's searches and census) do not run each of the 3^L tape strings
-from square 0.  _witnesses walks the tape tree depth first, and a node
-resumes its parent's suspended run in _resume, the other loop, on the
-squares its next fetch reads, so every prefix runs once.  A run that dies
-kills the whole subtree, since every extension replays it; the deaths are
-proofs:
+One fetch-decode loop, _resume, runs everything.  It runs a tape from
+square 0 or from a suspended state and says why it stopped: the next fetch
+reads past the tape, HALT, a wrong or surplus output symbol, the budget, or
+a proven loop.  Exhaustive sweeps (prior's exact sums, complexity's
+searches and census) do not run each of the 3^L tape strings from square
+0.  _witnesses walks the tape tree depth first, and a node resumes its
+parent's suspended run on the squares its next fetch reads, so every
+prefix runs once.  A run that stops for any other reason than the tape's
+end kills the whole subtree, since every extension replays it; the deaths
+are proofs:
 
 * a wrong or surplus output symbol cannot be recovered (output never
   shrinks);
@@ -54,34 +55,35 @@ proofs:
   are the only register-sensitive branches, so the shifted replay makes
   the register climb forever).
 
-Both loops look for repeats at two events only, once a run has taken
+The loop looks for repeats at two events only, once a run has taken
 _WARMUP steps: a taken LOOP, the only backward move, where the key
 (ip, anchor) is just the anchor; and a DEC that reaches 0.  Two records,
-one entry per key at most, hold what was seen: the keys met at register 0,
-and each key's latest visit at a taken LOOP (register >= 1) with its step.
-They decide every run on a fixed tape.  A run that neither halts nor
-leaves its tape jumps back infinitely often.  If its register is 0
-infinitely often, a DEC takes it to 0 infinitely often, and a key recurs
-at 0.  Otherwise every branch is fixed after the last zero, so each LOOP
-key recurs with the same register or a larger one.
+one entry per key at most, hold what was seen, each visit as (register,
+steps, output length): the keys met at register 0, and each key's latest
+visit at a taken LOOP (register >= 1).  They decide every run on a fixed
+tape.  A run that neither halts nor leaves its tape jumps back infinitely
+often.  If its register is 0 infinitely often, a DEC takes it to 0
+infinitely often, and a key recurs at 0.  Otherwise every branch is fixed
+after the last zero, so each LOOP key recurs with the same register or a
+larger one.
 
-_resume abandons a proven run.  _run_ints fast-forwards it instead: the
-two visits of the proof span one period of P steps that moved the
-register by d (0 for a cycle) and printed some output, and every later
-period repeats it.  For the k whole periods left in the budget, the run
-adds k*P steps and k*d to the register, and prints the period's output k
-times, stopping at out_cap (and setting truncated when the cap cuts it).
-consumed does not change, since a period visits no new square.  The
-remainder, under one period, runs step by step.  With no out_cap the
-output is built in full, as stepping would build it.
+The records' keys leave the output length out: no instruction reads the
+output, so a repeat loops forever whatever it prints, and keying on the
+length would let a printing loop run on until the budget.  The records
+start afresh at every resume: a resume executes only instructions already
+on the tape, so what it proves holds on every extension.
 
-The records' keys leave the output length out (_run_ints keeps it only to
-repeat a period's output): no instruction reads the output, so a repeat
-loops forever whatever it prints, and keying on the length would let a
-printing loop run on until the budget.  The records start afresh at every
-resume: a resume executes only instructions already on the tape, so what
-it proves holds on every extension.  Neither choice changes a result,
-only when a run is abandoned or how many steps it skips.
+run drives the same loop on a fixed program string, with no output cap in
+the loop and a list for the output, and fast-forwards a proven loop: the
+proof's two visits span one period of P steps that moved the register by
+d (0 for a cycle) and printed some output, and every later period repeats
+it.  For the k whole periods left in the budget, run adds k*P steps and k*d
+to the register, and the period's output k times, stored up to out_cap
+(truncated is set when the run printed more).  It then resumes the
+remainder, under one period, which replays the start of a period in which
+no record fired, so it runs step by step to the budget.  consumed is the
+highest square read: a period visits no new square, and ip only moves
+back at a taken LOOP, where the loop keeps the highest ip before the jump.
 
 prior's Monte Carlo sampler runs on _resume too, with a draw that fills the
 tape from the sample's splitmix64 stream: a guessed run that reaches the
@@ -103,7 +105,7 @@ cap, only those whose output is a prefix of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 
 SYMBOLS = "01,"
 _IDX = {"0": 0, "1": 1, ",": 2}
@@ -170,123 +172,21 @@ def check_inputs(max_steps: int, *texts: str) -> None:
         to_ints(t)
 
 
-def _run_ints(prog, max_steps, finite, aux, out_cap=None):
-    """Core fetch-decode-execute loop on a fixed int symbol sequence.
-
-    Returns (out_ints, halted, consumed, steps, truncated).
-    aux switches on T3C semantics (',,' appends the whole aux tape).
-    out_cap stops output growth at the cap (execution continues) and flips
-    the truncated flag.  A proven loop skips its whole periods left in the
-    budget (see the module docstring) and runs the rest step by step.
-    """
-    n = len(prog)
-    ip = reg = anchor = consumed = steps = last_zero = 0
-    truncated = False
-    out: list[int] = []
-    # the loop records, each visit as (register, steps, output length)
-    zeros: dict = {}
-    last: dict = {}
-    while steps < max_steps:
-        if ip >= n - 1:
-            # off the end of the tape: a halt in finite mode, out of tape
-            # (not a real halt) in lazy mode
-            if ip == n - 1:
-                consumed = n  # the lone trailing symbol is consumed
-            return out, finite, consumed, steps, truncated
-        op = prog[ip] * 3 + prog[ip + 1]
-        ip += 2
-        if ip > consumed:
-            consumed = ip
-        steps += 1
-        if op < 3:  # OUT0 / OUT1 / OUTC
-            if out_cap is None or len(out) < out_cap:
-                out.append(op)
-            else:
-                truncated = True
-        elif op == _INC:
-            reg += 1
-        elif op == _DEC:
-            if reg:
-                reg -= 1
-                if not reg:
-                    last_zero = steps
-                    if steps >= _WARMUP:
-                        key = (ip, anchor)
-                        hit = zeros.get(key)
-                        zeros[key] = (0, steps, len(out))
-                        if hit is not None:  # exact state repeat at register 0
-                            reg, steps, truncated = _skip(
-                                hit, reg, steps, max_steps, out, out_cap, truncated
-                            )
-        elif op == _SKIPZ:
-            if reg == 0:
-                ip += 2
-                c = ip if ip <= n else n
-                if c > consumed:
-                    consumed = c
-        elif op == _LOOP:
-            if reg:
-                ip = anchor
-                if steps >= _WARMUP:
-                    hit = last.get(ip)
-                    last[ip] = (reg, steps, len(out))
-                    if hit is not None and (
-                        reg == hit[0] or reg > hit[0] and last_zero < hit[1]
-                    ):  # a cycle, or a climb without a zero: diverges
-                        reg, steps, truncated = _skip(
-                            hit, reg, steps, max_steps, out, out_cap, truncated
-                        )
-        elif op == _HALT:
-            return out, True, consumed, steps, truncated
-        elif aux is not None:  # ',,' in T3C
-            if aux:
-                if out_cap is None:
-                    out.extend(aux)
-                else:
-                    room = out_cap - len(out)
-                    if room < len(aux):
-                        out.extend(aux[:room])
-                        truncated = True
-                    else:
-                        out.extend(aux)
-        else:  # ',,' in T3: MARK
-            anchor = ip
-    return out, False, consumed, steps, truncated
-
-
-def _skip(hit, reg, steps, max_steps, out, out_cap, truncated):
-    """Fast-forward a proven loop by every whole period left in the budget.
-
-    hit is the loop state's previous visit (register, steps, output
-    length): one period took steps - hit[1] steps, moved the register by
-    reg - hit[0] and printed out[hit[2]:], and every later period repeats
-    it.  out grows in place, capped at out_cap; returns (reg, steps,
-    truncated).  At the cap, out[hit[2]:] is empty unless the period
-    printed, and an empty one leaves truncated as the period left it.
-    """
-    reg0, step0, k0 = hit
-    periods = (max_steps - steps) // (steps - step0)
-    if periods:
-        reg += periods * (reg - reg0)
-        steps += periods * (steps - step0)
-        seg = out[k0:]
-        if out_cap is None:
-            out += seg * periods
-        elif seg:
-            room = out_cap - len(out)
-            if len(seg) * periods > room:
-                out += (seg * (room // len(seg) + 1))[:room]
-                truncated = True
-            else:
-                out += seg * periods
-    return reg, steps, truncated
-
-
 _WARMUP = 16  # steps before the loop records engage
 # every string of m symbols in reverse lexicographic order, for m = 1..4: a
 # suspended run needs one to four more squares (four after a SKIPZ over the
 # tape's end) before its next fetch
 _TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in range(1, 5)}
+
+# why _resume stopped
+_AT_END = "end"  # the next fetch reads past the end of the tape
+_AT_HALT = "halt"
+_BAD_OUTPUT = "output"  # a wrong or surplus output symbol
+_AT_BUDGET = "budget"
+_IN_LOOP = "loop"  # a proven cycle or divergence
+
+_NO_CAP = 1 << 63  # an output cap no run reaches
+_SWAP = str.maketrans("01", "10")  # DUAL's '1' table
 
 
 def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
@@ -296,27 +196,29 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
     target when one is given.  aux switches on T3C semantics (',,' appends
     the whole aux tape).  With draw, tape is a list that grows by draw()
     blocks whenever a fetch needs a square past its end, so the run never
-    reaches the end.  Returns (out, state):
+    reaches the end.  A state's out is a tuple, which the runs resumed
+    from it share, or a list, which grows in place.
 
-    * the run reached the end of the tape: (out, the suspended state
-      (ip, reg, anchor, out, steps)), which resumes on the tape extended by
-      more squares as a run of that tape from square 0;
-    * HALT: (out, None);
-    * the run died (see the module docstring): (None, None).
+    Returns (why, state): why the run stopped (_AT_END, _AT_HALT,
+    _BAD_OUTPUT, _AT_BUDGET or _IN_LOOP) and the state it stopped in,
+    (ip, reg, anchor, out, steps, top, hit).  top is the highest ip before
+    a jump back; hit, for _IN_LOOP only, is the proof's earlier visit as
+    (register, steps, output length).  At _AT_END the state resumes on the
+    tape extended by more squares as a run of that tape from square 0.
     """
     n = len(tape)
     if state is None:
-        ip = reg = anchor = steps = 0
+        ip = reg = anchor = steps = top = 0
         out = ()
     else:
-        ip, reg, anchor, out, steps = state
+        ip, reg, anchor, out, steps, top, _ = state
     k = len(out)
     last_zero = 0
     zeros = last = None  # the loop records; see the module docstring
     while steps < budget:
         if ip >= n - 1:
             if draw is None:
-                return out, (ip, reg, anchor, out, steps)
+                return _AT_END, (ip, reg, anchor, out, steps, top, None)
             while n < ip + 2:
                 tape += draw()
                 n = len(tape)
@@ -325,7 +227,7 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
         steps += 1
         if op < 3:  # OUT0 / OUT1 / OUTC
             if k >= cap or (target is not None and target[k] != op):
-                return None, None
+                return _BAD_OUTPUT, (ip, reg, anchor, out, steps, top, None)
             out += (op,)
             k += 1
         elif op == _INC:
@@ -337,40 +239,41 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
                     last_zero = steps
                     if steps >= _WARMUP:
                         if zeros is None:
-                            zeros, last = set(), {}
+                            zeros, last = {}, {}
                         key = (ip, anchor)
-                        if key in zeros:
-                            return None, None  # exact state repeat at register 0
-                        zeros.add(key)
+                        hit = zeros.get(key)
+                        if hit is not None:  # exact state repeat at register 0
+                            return _IN_LOOP, (ip, reg, anchor, out, steps, top, hit)
+                        zeros[key] = (0, steps, k)
         elif op == _SKIPZ:
             if reg == 0:
                 ip += 2
         elif op == _LOOP:
             if reg:
+                if ip > top:
+                    top = ip
                 ip = anchor
                 if steps >= _WARMUP:
                     if last is None:
-                        zeros, last = set(), {}
+                        zeros, last = {}, {}
                     hit = last.get(ip)
-                    if hit is not None:
-                        reg0, step0 = hit
-                        if reg == reg0:
-                            return None, None  # exact state repeat: cycles forever
-                        if reg > reg0 and last_zero < step0:
-                            return None, None  # register climbs without a zero: diverges
-                    last[ip] = (reg, steps)
+                    if hit is not None and (
+                        reg == hit[0] or reg > hit[0] and last_zero < hit[1]
+                    ):  # a cycle, or a climb without a zero: diverges
+                        return _IN_LOOP, (ip, reg, anchor, out, steps, top, hit)
+                    last[ip] = (reg, steps, k)
         elif op == _HALT:
-            return out, None
+            return _AT_HALT, (ip, reg, anchor, out, steps, top, None)
         elif aux is not None:  # ',,' in T3C
             if aux:
                 j = k + len(aux)
                 if j > cap or (target is not None and target[k:j] != aux):
-                    return None, None
+                    return _BAD_OUTPUT, (ip, reg, anchor, out, steps, top, None)
                 out += aux
                 k = j
         else:  # ',,' in T3: MARK
             anchor = ip
-    return None, None
+    return _AT_BUDGET, (ip, reg, anchor, out, steps, top, None)
 
 
 def _witnesses(
@@ -397,30 +300,33 @@ def _witnesses(
     finite = mode == FINITE
     tape = list(prefix)
     depth = len(tape)
-    out, state = _resume(tape, budget, cap, target, aux)
+    if depth > max_len:
+        return
+    why, state = _resume(tape, budget, cap, target, aux)
     limit = max_len
     # pending nodes as (the squares past the parent, parent state), pushed
     # in reverse so that the lexicographically first comes off the stack
     # first; the suspended fetch reads squares ip and ip+1, so the run moves
     # again only at depth ip+2
     stack = []
+    end, halt = _AT_END, _AT_HALT  # _resume returns these very objects
     while True:
-        if out is not None and depth <= limit:
-            if (len(out) == cap) if finite else (state is None):
-                yield to_str(tape), out
+        if why is end or why is halt:
+            if (len(state[3]) == cap) if finite else (why is halt):
+                yield to_str(tape), state[3]
                 if shortest:
                     limit = depth - 1
-            if state is not None and state[0] + 2 <= limit:
-                stack += [(squares, state) for squares in _TAILS[state[0] + 2 - depth]]
+            if why is end and state[0] + 2 <= limit:
+                stack += zip(_TAILS[state[0] + 2 - depth], repeat(state))
         if not stack:
             return
         squares, state = stack.pop()
         depth = state[0] + 2
         if depth > limit:  # a shorter witness was found since the push
-            out = None
-            continue
-        tape[depth - len(squares) :] = squares
-        out, state = _resume(tape, budget, cap, target, aux, state)
+            why = None
+        else:
+            tape[depth - len(squares) :] = squares
+            why, state = _resume(tape, budget, cap, target, aux, state)
 
 
 def run(
@@ -433,7 +339,10 @@ def run(
 ) -> RunResult:
     """Run a fixed program string.
 
-    pre: max_steps >= 1; aux is given exactly for variant T3C.
+    pre: max_steps >= 1; aux is given exactly for variant T3C.  out_cap
+    keeps the first out_cap output symbols and sets truncated when the run
+    printed more.  A proven loop skips every whole period left in the
+    budget (see the module docstring).
     """
     check_inputs(max_steps)
     if mode not in (FINITE, LAZY):
@@ -443,36 +352,49 @@ def run(
             raise ValueError("variant t3c requires an aux tape")
     elif aux is not None:
         raise ValueError(f"variant {variant} takes no aux tape")
-    prog = to_ints(program)
+    tape = to_ints(program)
     finite = mode == FINITE
-
+    budget = max_steps
+    head = 0  # squares and steps before the T3 run: DUAL's selector
     if variant == DUAL:
-        return _run_dual(program, prog, max_steps, finite, out_cap)
-
+        if not tape:
+            return RunResult(program, "", HALTED if finite else BUDGET, 0, 0)
+        if tape[0] == 2:  # ',' selector: halt with empty output
+            return RunResult(program, "", HALTED, 1, 1)
+        head = 1
+        tape = tape[1:]
+        budget = max_steps - 1
     aux_ints = to_ints(aux) if aux is not None else None
-    out, halted, consumed, steps, truncated = _run_ints(prog, max_steps, finite, aux_ints, out_cap)
+    state = (0, 0, 0, [], 0, 0, None)
+    lost = 0  # output symbols a fast-forward counted past out_cap but did not store
+    while True:
+        why, (ip, reg, anchor, out, steps, top, hit) = _resume(
+            tape, budget, _NO_CAP, None, aux_ints, state
+        )
+        if why != _IN_LOOP:
+            break
+        # fast-forward: one period ran from the visit hit to here
+        reg0, step0, k0 = hit
+        periods = (budget - steps) // (steps - step0)
+        reg += periods * (reg - reg0)
+        steps += periods * (steps - step0)
+        seg = out[k0:]
+        if seg:
+            printed = periods * len(seg)
+            room = printed if out_cap is None else min(printed, max(out_cap - len(out), 0))
+            whole, part = divmod(room, len(seg))
+            out += seg * whole
+            out += seg[:part]
+            lost += printed - room
+        state = (ip, reg, anchor, out, steps, top, None)
+    truncated = out_cap is not None and len(out) + lost > out_cap
+    output = to_str(out[:out_cap] if truncated else out)
+    if head and program[0] == "1":  # swapped table: OUT0 emits '1', OUT1 emits '0'
+        output = output.translate(_SWAP)
+    n = len(tape)
+    high = ip if ip > top else top  # past the highest square read
+    consumed = n if why == _AT_END or high > n else high
+    halted = why == _AT_HALT or why == _AT_END and finite
     return RunResult(
-        program, to_str(out), HALTED if halted else BUDGET, consumed, steps, truncated
-    )
-
-
-def _run_dual(program, prog, max_steps, finite, out_cap):
-    if not prog:
-        status = HALTED if finite else BUDGET
-        return RunResult(program, "", status, 0, 0)
-    sel = prog[0]
-    if sel == 2:  # ',' selector: halt with empty output
-        return RunResult(program, "", HALTED, 1, 1)
-    out, halted, consumed, steps, truncated = _run_ints(
-        prog[1:], max_steps - 1, finite, None, out_cap
-    )
-    if sel == 1:  # swapped table: OUT0 emits '1', OUT1 emits '0'
-        out = [1 - v if v < 2 else v for v in out]
-    return RunResult(
-        program,
-        to_str(out),
-        HALTED if halted else BUDGET,
-        consumed + 1,
-        steps + 1,
-        truncated,
+        program, output, HALTED if halted else BUDGET, consumed + head, steps + head, truncated
     )

@@ -90,7 +90,8 @@ def _guess(key: int, budget: int, cap: int) -> tuple | None:
     A lazy machine run whose tape squares are the uniform symbols of the
     stream keyed key, drawn one 64-bit block at a time.
     """
-    return machine._resume([], budget, cap, draw=_draw(key))[0]
+    why, state = machine._resume([], budget, cap, draw=_draw(key))
+    return state[3] if why == machine._AT_HALT else None
 
 
 def _wilson_upper(hits: int, n: int) -> float:

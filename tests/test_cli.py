@@ -1,4 +1,5 @@
 import json
+import time
 import tracemalloc
 
 import pytest
@@ -90,6 +91,24 @@ def test_run_variant_flags(capsys):
 def test_run_bad_program_exits_2(capsys):
     code, _ = run_cli(capsys, "run", "--program", "0x1")
     assert code == 2
+
+
+def test_run_output_past_the_limit_exits_2_at_once(capsys):
+    # INC MARK OUT0 LOOP prints one symbol per two steps: 5*10^9 symbols at
+    # this budget, which the report must not try to hold
+    start = time.perf_counter()
+    code = cli.main(["run", "--program", "10,,00,0", "--max-steps", "10000000000"])
+    captured = capsys.readouterr()
+    assert time.perf_counter() - start < 1.0
+    assert (code, captured.out) == (2, "")
+    assert str(2**20) in captured.err
+
+
+def test_run_output_under_the_limit_is_kept(capsys):
+    # 999,999 symbols, just under the 2^20 limit
+    payload = run_json(capsys, "run", "--program", "10,,00,0", "--max-steps", "2000000")
+    assert (payload["output"], payload["status"], payload["steps"]) == ("0" * 999_999, "budget", 2_000_000)
+    assert payload["consumed"] == 8
 
 
 @pytest.mark.parametrize(

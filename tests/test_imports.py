@@ -3,6 +3,7 @@ only tests read (stdlib ast, no linter)."""
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import omni
@@ -112,3 +113,29 @@ def test_every_exported_function_and_class_has_a_caller():
     # report (ROADMAP item 8)
     uncalled = [name for name in exported if name not in read and name != "parse_evolution"]
     assert uncalled == []
+
+
+_FETCH = re.compile(r"(\w+)\[(\w+)\] \* 3 \+ \1\[\2 \+ 1\]|3 \* (\w+)\[(\w+)\] \+ \3\[\4 \+ 1\]")
+
+
+def _decoders(path):
+    """Names of the functions in the module that decode an instruction,
+    the fetch tape[ip] * 3 + tape[ip + 1] on any names."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        f.name
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        and any(isinstance(n, ast.BinOp) and _FETCH.fullmatch(ast.unparse(n)) for n in ast.walk(f))
+    ]
+
+
+def test_one_fetch_decode_loop():
+    # every run goes through machine._resume: a second copy of the loop
+    # would need its own loop records, kept in step with the first
+    decoders = [
+        f"{path.name}:{name}"
+        for path in sorted((ROOT / "src" / "omni").glob("*.py"))
+        for name in _decoders(path)
+    ]
+    assert decoders == ["machine.py:_resume"]

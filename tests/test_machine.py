@@ -151,7 +151,7 @@ def test_resumed_run_equals_a_fresh_run(targeted, readaux, aux, out_cap):
         want = machine._resume(prog, 40, cap, target, aux)
         for cut in range(len(prog)):
             got = machine._resume(prog[:cut], 40, cap, target, aux)
-            while got[1] is not None and got[1][0] + 2 <= len(prog):
+            while got[0] == machine._AT_END and got[1][0] + 2 <= len(prog):
                 state = got[1]
                 got = machine._resume(prog[: state[0] + 2], 40, cap, target, aux, state)
             assert got == want, (prog, cut)
@@ -164,20 +164,24 @@ def _draw_from(source):
 
 def test_drawn_tape_scripted_source():
     tape = []
-    out, state = machine._resume(tape, 50, 50, draw=_draw_from(iter("000,01,1" + ",,,,,,")))
-    assert (machine.to_str(out), state) == ("0,1", None)
+    why, state = machine._resume(tape, 50, 50, draw=_draw_from(iter("000,01,1" + ",,,,,,")))
+    assert (why, machine.to_str(state[3]), state[4]) == (machine._AT_HALT, "0,1", 4)
     assert machine.to_str(tape) == "000,01,1"  # squares are drawn on first visit only
     # without a draw, a run out of symbols suspends instead of halting
-    assert machine._resume(machine.to_ints("00"), 50, 50)[1] is not None
+    why, state = machine._resume(machine.to_ints("00"), 50, 50)
+    assert (why, state[0], machine.to_str(state[3])) == (machine._AT_END, 2, "0")
 
 
 @given(programs_st)
 @settings(max_examples=200)
 def test_sampled_run_agrees_with_fixed_lazy_run(p):
     source = itertools.chain(iter(p), itertools.repeat(","))
-    sampled = machine._resume([], 64, 64, draw=_draw_from(source))[0]
+    why, state = machine._resume([], 64, 64, draw=_draw_from(source))
     fixed = run(p + "," * 130, 64, LAZY)
-    assert sampled == (tuple(machine.to_ints(fixed.output)) if fixed.halted else None)
+    assert why != machine._AT_END  # a drawn tape never ends
+    assert (why == machine._AT_HALT) == fixed.halted
+    if fixed.halted:
+        assert state[3] == tuple(machine.to_ints(fixed.output))
 
 
 @given(programs_st, st.integers(min_value=1, max_value=30))

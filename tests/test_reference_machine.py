@@ -1,6 +1,7 @@
 """Differential tests: every surviving fetch-decode loop against the plain
 reference interpreter in reference_machine."""
 
+import functools
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -90,16 +91,35 @@ def test_source_fed_run_matches_reference_on_all_short_programs(budget):
         source = iter(machine.to_ints(p))
         tape = []
         try:
-            got = machine._resume(tape, budget, budget, draw=lambda: (next(source),))[0]
+            why, state = machine._resume(tape, budget, budget, draw=lambda: (next(source),))
         except StopIteration:
-            got = None
+            why = state = None
         want = reference_run(max_steps=budget, mode=LAZY, source=iter(p))
         if want[2] == machine.HALTED:
-            assert (machine.to_str(tape), got) == (want[0], tuple(machine.to_ints(want[1]))), p
+            got = (machine.to_str(tape), why, state[3])
+            assert got == (want[0], machine._AT_HALT, tuple(machine.to_ints(want[1]))), p
+        elif why is None:  # the source ran dry, where the reference stopped short
+            assert want[4] < budget, (p, budget)
         else:
-            assert got is None, (p, budget)
+            assert why in (machine._AT_BUDGET, machine._IN_LOOP), (p, budget)
+            assert want[4] == budget, (p, budget)
         fixed = reference_run(p, budget, LAZY)
         assert want[1:4] == fixed[1:4], p  # same run as the fixed string
+
+
+def _printed(ints, budget, cap, target=None, aux=None):
+    """What the pruned loop printed on a whole program when it halts
+    there in finite mode (a HALT or the end of the tape), else None."""
+    why, state = machine._resume(ints, budget, cap, target, aux)
+    return state[3] if why in (machine._AT_END, machine._AT_HALT) else None
+
+
+@functools.cache
+def _loops_forever(p, variant, aux):
+    """Whether the reference, at 20,000 steps, neither halts nor leaves
+    its tape."""
+    _, _, status, _, steps, _ = reference_run(p, 20_000, LAZY, variant, aux)
+    return status == machine.BUDGET and steps == 20_000
 
 
 @pytest.mark.parametrize("budget", BUDGETS + (300,))
@@ -115,12 +135,27 @@ def test_pruned_searchers_match_reference_on_all_short_programs(budget):
             aux_ints = None if aux is None else tuple(machine.to_ints(aux))
             for target in {out, out + "0", out[:-1], "", "0", "1,0"}:
                 t = tuple(machine.to_ints(target))
-                got = machine._resume(ints, budget, len(t), t, aux_ints)[0] == t
+                got = _printed(ints, budget, len(t), t, aux_ints) == t
                 assert got == (halted and out == target), (p, budget, aux, target)
             if aux is None:
                 for max_out in (0, 1, 3):
                     want = tuple(machine.to_ints(out)) if halted and len(out) <= max_out else None
-                    assert machine._resume(ints, budget, max_out)[0] == want, (p, budget)
+                    assert _printed(ints, budget, max_out) == want, (p, budget)
+            # why the run stopped, against the reference in lazy mode, where
+            # only a HALT halts: the reference's own output as the target
+            # leaves no wrong or surplus symbol
+            t = tuple(machine.to_ints(out))
+            why = machine._resume(ints, budget, len(t), t, aux_ints)[0]
+            _, _, lazy, _, steps, _ = reference_run(p, budget, LAZY, variant, aux or "")
+            case = (p, budget, aux, why)
+            assert (why == machine._AT_HALT) == (lazy == machine.HALTED), case
+            assert (why == machine._AT_END) == (lazy == machine.BUDGET and steps < budget), case
+            if why == machine._AT_BUDGET:
+                assert steps == budget, case
+            elif why == machine._IN_LOOP:
+                assert steps == budget and _loops_forever(p, variant, aux or ""), case
+            else:
+                assert why in (machine._AT_HALT, machine._AT_END), case
 
 
 @pytest.mark.parametrize("variant", (T3, DUAL))
@@ -263,9 +298,9 @@ def _check_searchers_on_bodies(prefix, budget=300):
         halted = status == machine.HALTED
         ints = machine.to_ints(p)
         t = tuple(machine.to_ints(out))
-        assert (machine._resume(ints, budget, len(t), t)[0] == t) == halted, p
+        assert (_printed(ints, budget, len(t), t) == t) == halted, p
         want = t if halted else None
-        assert machine._resume(ints, budget, len(out))[0] == want, p
+        assert _printed(ints, budget, len(out)) == want, p
 
 
 def test_fast_forwarded_runs_match_reference_past_the_warm_up():
@@ -332,10 +367,10 @@ def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
     assert status == machine.BUDGET
     ints = machine.to_ints(p)
     budget = _StepLimit(10**6, limit=100)
-    assert machine._resume(ints, budget, 0, ())[0] is None
+    assert machine._resume(ints, budget, 0, ())[0] == machine._IN_LOOP
     assert 0 < budget.checks
     budget = _StepLimit(10**6, limit=100)
-    assert machine._resume(ints, budget, 3)[0] is None
+    assert machine._resume(ints, budget, 3)[0] == machine._IN_LOOP
     assert 0 < budget.checks
 
 
@@ -345,7 +380,8 @@ def test_pruned_runs_see_a_loop_state_first_met_at_register_zero():
     # at register 0
     tape = machine.to_ints("10101010,,11,00000,,,010,0")
     budget = _StepLimit(10**6, limit=100)
-    assert machine._resume(tape, budget, 2) == (None, None)
+    why, state = machine._resume(tape, budget, 2)
+    assert (why, state[3]) == (machine._IN_LOOP, (0, 0))
     assert 0 < budget.checks
 
 
@@ -368,10 +404,11 @@ def test_run_skips_a_proven_loop_to_a_2_to_200_step_budget(program, variant, mod
 def test_run_skips_a_loop_first_met_at_register_zero():
     # INC x4 MARK DEC LOOP counts down to 0, OUT0 OUT0 prints, then the last
     # LOOP spins on itself at register 1
-    budget = _StepLimit(2**200, limit=100)
-    r = machine.run("10101010,,11,00000,,,010,0", budget, out_cap=4096)
-    assert (r.output, r.status, r.steps, r.truncated) == ("00", machine.BUDGET, 2**200, False)
-    assert 0 < budget.checks
+    for cap in (4096, None):  # the loop prints nothing, so no cap is needed
+        budget = _StepLimit(2**200, limit=100)
+        r = machine.run("10101010,,11,00000,,,010,0", budget, out_cap=cap)
+        assert (r.output, r.status, r.steps, r.truncated) == ("00", machine.BUDGET, 2**200, False)
+        assert 0 < budget.checks
 
 
 def test_run_skips_a_cycle_through_register_zero():
@@ -392,14 +429,15 @@ def test_pruned_runs_decide_every_countdown_tape():
     for a in range(1, 9):
         for body in bodies:
             budget = _StepLimit(3000, limit=3000)
-            machine._resume(machine.to_ints("10" * a + ",,11,0" + body), budget, 3000)
+            why, _ = machine._resume(machine.to_ints("10" * a + ",,11,0" + body), budget, 3000)
+            assert why in (machine._AT_HALT, machine._AT_END, machine._IN_LOOP), (a, body)
 
 
 def test_pruned_searchers_abandon_a_printing_loop():
     # INC MARK OUT0 LOOP prints forever: no instruction reads the output, so
     # the loop records leave its length out and see the repeat at once
     budget = _StepLimit(10**6, limit=100)
-    assert machine._resume(machine.to_ints("10,,00,0"), budget, 10**6)[0] is None
+    assert machine._resume(machine.to_ints("10,,00,0"), budget, 10**6)[0] == machine._IN_LOOP
     assert 0 < budget.checks
 
 
