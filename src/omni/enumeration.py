@@ -167,14 +167,8 @@ def dovetail(total_steps: int, mode: str = machine.FINITE, workers: int = 1) -> 
     keeps at most OUTPUT_CAP output symbols."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
-    jobs = []
-    k = 1
-    while True:
-        allot = steps_offered(total_steps, k)
-        if allot < 1:
-            break
-        jobs.append((k, allot))
-        k += 1
+    # steps_offered(total_steps, k) >= 1 exactly for k <= total_steps.bit_length()
+    jobs = [(k, steps_offered(total_steps, k)) for k in range(1, total_steps.bit_length() + 1)]
     results = parallel_map(partial(_run_entry, mode), jobs, workers)
     entries = dict(results)
     executed = sum(e.steps_executed for e in entries.values())

@@ -55,35 +55,41 @@ are proofs:
   are the only register-sensitive branches, so the shifted replay makes
   the register climb forever).
 
-The loop looks for repeats at two events only, once a run has taken
-_WARMUP steps: a taken LOOP, the only backward move, where the key
-(ip, anchor) is just the anchor; and a DEC that reaches 0.  Two records,
-one entry per key at most, hold what was seen, each visit as (register,
-steps, output length): the keys met at register 0, and each key's latest
-visit at a taken LOOP (register >= 1).  They decide every run on a fixed
-tape.  A run that neither halts nor leaves its tape jumps back infinitely
-often.  If its register is 0 infinitely often, a DEC takes it to 0
-infinitely often, and a key recurs at 0.  Otherwise every branch is fixed
-after the last zero, so each LOOP key recurs with the same register or a
-larger one.
+The loop looks for repeats at two events only, from the first step: a
+taken LOOP, the only backward move, where the key (ip, anchor) is just the
+anchor, an int; and a DEC that reaches 0, keyed by the tuple (ip, anchor).
+An int never equals a tuple, so one record, one entry per key at most,
+holds both kinds of visit as (register, steps, output length): each
+anchor's latest visit at a taken LOOP (register >= 1), and each tuple's
+visit at register 0.  A repeat at register 0 is a cycle; at a LOOP, an
+equal register is a cycle and a larger one with no zero since diverges.
+The record decides every run on a fixed tape.  A run that neither halts
+nor leaves its tape jumps back infinitely often.  If its register is 0
+infinitely often, a DEC takes it to 0 infinitely often, and a key recurs
+at 0.  Otherwise every branch is fixed after the last zero, so each LOOP
+key recurs with the same register or a larger one.
 
-The records' keys leave the output length out: no instruction reads the
+The record's keys leave the output length out: no instruction reads the
 output, so a repeat loops forever whatever it prints, and keying on the
-length would let a printing loop run on until the budget.  The records
-start afresh at every resume: a resume executes only instructions already
+length would let a printing loop run on until the budget.  The record
+starts afresh at every resume: a resume executes only instructions already
 on the tape, so what it proves holds on every extension.
 
-run drives the same loop on a fixed program string, with no output cap in
-the loop and a list for the output, and fast-forwards a proven loop: the
+run drives the same loop on a fixed program string, with out_cap as the
+cap and a list for the output, and fast-forwards a proven loop: the
 proof's two visits span one period of P steps that moved the register by
 d (0 for a cycle) and printed some output, and every later period repeats
 it.  For the k whole periods left in the budget, run adds k*P steps and k*d
-to the register, and the period's output k times, stored up to out_cap
-(truncated is set when the run printed more).  It then resumes the
-remainder, under one period, which replays the start of a period in which
-no record fired, so it runs step by step to the budget.  consumed is the
-highest square read: a period visits no new square, and ip only moves
-back at a taken LOOP, where the loop keeps the highest ip before the jump.
+to the register, and the period's output k times, stored up to out_cap.
+It then resumes the remainder, under one period, which replays the start
+of a period in which the record never fired, so it runs step by step to the
+budget.  A run that prints past out_cap, in a step or a fast-forward, sets
+truncated and keeps what was stored (a READAUX that passed the cap fills
+it from the aux tape); it runs on with no cap, a T3C aux tape emptied and
+a fresh list each resume, so it stores nothing more: no branch reads the
+output.  consumed is the highest square read: a period visits no new
+square, and ip only moves back at a taken LOOP, where the loop keeps the
+highest ip before the jump.
 
 prior's Monte Carlo sampler runs on _resume too, with a draw that fills the
 tape from the sample's splitmix64 stream: a guessed run that reaches the
@@ -172,7 +178,6 @@ def check_inputs(max_steps: int, *texts: str) -> None:
         to_ints(t)
 
 
-_WARMUP = 16  # steps before the loop records engage
 # every string of m symbols in reverse lexicographic order, for m = 1..4: a
 # suspended run needs one to four more squares (four after a SKIPZ over the
 # tape's end) before its next fetch
@@ -214,7 +219,7 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
         ip, reg, anchor, out, steps, top, _ = state
     k = len(out)
     last_zero = 0
-    zeros = last = None  # the loop records; see the module docstring
+    seen = None  # the loop record; see the module docstring
     while steps < budget:
         if ip >= n - 1:
             if draw is None:
@@ -237,14 +242,13 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
                 reg -= 1
                 if reg == 0:
                     last_zero = steps
-                    if steps >= _WARMUP:
-                        if zeros is None:
-                            zeros, last = {}, {}
-                        key = (ip, anchor)
-                        hit = zeros.get(key)
-                        if hit is not None:  # exact state repeat at register 0
-                            return _IN_LOOP, (ip, reg, anchor, out, steps, top, hit)
-                        zeros[key] = (0, steps, k)
+                    if seen is None:
+                        seen = {}
+                    key = (ip, anchor)
+                    hit = seen.get(key)
+                    if hit is not None:  # exact state repeat at register 0
+                        return _IN_LOOP, (ip, reg, anchor, out, steps, top, hit)
+                    seen[key] = (0, steps, k)
         elif op == _SKIPZ:
             if reg == 0:
                 ip += 2
@@ -253,15 +257,14 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
                 if ip > top:
                     top = ip
                 ip = anchor
-                if steps >= _WARMUP:
-                    if last is None:
-                        zeros, last = {}, {}
-                    hit = last.get(ip)
-                    if hit is not None and (
-                        reg == hit[0] or reg > hit[0] and last_zero < hit[1]
-                    ):  # a cycle, or a climb without a zero: diverges
-                        return _IN_LOOP, (ip, reg, anchor, out, steps, top, hit)
-                    last[ip] = (reg, steps, k)
+                if seen is None:
+                    seen = {}
+                hit = seen.get(ip)
+                if hit is not None and (
+                    reg == hit[0] or reg > hit[0] and last_zero < hit[1]
+                ):  # a cycle, or a climb without a zero: diverges
+                    return _IN_LOOP, (ip, reg, anchor, out, steps, top, hit)
+                seen[ip] = (reg, steps, k)
         elif op == _HALT:
             return _AT_HALT, (ip, reg, anchor, out, steps, top, None)
         elif aux is not None:  # ',,' in T3C
@@ -365,30 +368,38 @@ def run(
         tape = tape[1:]
         budget = max_steps - 1
     aux_ints = to_ints(aux) if aux is not None else None
+    cap = _NO_CAP if out_cap is None else out_cap
+    kept = None  # the output stored, once the run printed more than out_cap
     state = (0, 0, 0, [], 0, 0, None)
-    lost = 0  # output symbols a fast-forward counted past out_cap but did not store
     while True:
         why, (ip, reg, anchor, out, steps, top, hit) = _resume(
-            tape, budget, _NO_CAP, None, aux_ints, state
+            tape, budget, cap, None, aux_ints, state
         )
-        if why != _IN_LOOP:
+        if why == _IN_LOOP:
+            # fast-forward: one period ran from the visit hit to here
+            reg0, step0, k0 = hit
+            periods = (budget - steps) // (steps - step0)
+            reg += periods * (reg - reg0)
+            steps += periods * (steps - step0)
+            seg = out[k0:]
+            if seg and kept is None:
+                printed = periods * len(seg)
+                room = min(printed, cap - len(out))
+                whole, part = divmod(room, len(seg))
+                out += seg * whole
+                out += seg[:part]
+                if room < printed:
+                    why = _BAD_OUTPUT
+        elif why == _BAD_OUTPUT:
+            if tape[ip - 2] == tape[ip - 1] == 2:  # a READAUX that passed the cap
+                out += aux_ints[: cap - len(out)]
+        else:
             break
-        # fast-forward: one period ran from the visit hit to here
-        reg0, step0, k0 = hit
-        periods = (budget - steps) // (steps - step0)
-        reg += periods * (reg - reg0)
-        steps += periods * (steps - step0)
-        seg = out[k0:]
-        if seg:
-            printed = periods * len(seg)
-            room = printed if out_cap is None else min(printed, max(out_cap - len(out), 0))
-            whole, part = divmod(room, len(seg))
-            out += seg * whole
-            out += seg[:part]
-            lost += printed - room
-        state = (ip, reg, anchor, out, steps, top, None)
-    truncated = out_cap is not None and len(out) + lost > out_cap
-    output = to_str(out[:out_cap] if truncated else out)
+        if why == _BAD_OUTPUT:  # store nothing more: no cap, and READAUX prints nothing
+            kept, cap, aux_ints = out, _NO_CAP, aux_ints and ()
+        state = (ip, reg, anchor, out if kept is None else [], steps, top, None)
+    truncated = kept is not None
+    output = to_str(kept if truncated else out)
     if head and program[0] == "1":  # swapped table: OUT0 emits '1', OUT1 emits '0'
         output = output.translate(_SWAP)
     n = len(tape)

@@ -178,7 +178,7 @@ class LearnerTrace:
     total_reward: float
     actions: list[int] | None  # indices into ACTIONS, None if not recorded
     rewards: list[float] | None
-    events: list[dict]
+    events: list[str]  # one kind per event: begin, end, pop, noop or final
     final_policy: dict[str, list[float]]
     story: list[tuple[int, float]]  # surviving (s, R(s)) checkpoints
     pops: int
@@ -239,7 +239,7 @@ def run_learner(
     rng = random.Random(seed)
     policy = Policy.uniform()
     stack: list[StackEntry] = []
-    events: list[dict] = []
+    events: list[str] = []
     actions: list[int] | None = [] if record_steps else None
     rewards: list[float] | None = [] if record_steps else None
     total = 0.0
@@ -267,24 +267,24 @@ def run_learner(
             n = ssc_evaluate(stack, t, total, policy)
             pops += n
             if n:
-                events.append({"event": "pop", "t": t, "stack_depth": len(stack), "popped": n})
+                events.append("pop")
             stack.append(StackEntry(t, total))
-            events.append({"event": "begin", "t": t, "stack_depth": len(stack)})
+            events.append("begin")
         elif action == "end_pmp":
             entry = open_entry()
             if entry is None:
-                events.append({"event": "noop", "t": t, "stack_depth": len(stack)})
+                events.append("noop")
             else:
                 entry.e = t
                 n = ssc_evaluate(stack, t, total, policy)
                 pops += n
                 if n:
-                    events.append({"event": "pop", "t": t, "stack_depth": len(stack), "popped": n})
-                events.append({"event": "end", "t": t, "stack_depth": len(stack)})
+                    events.append("pop")
+                events.append("end")
         elif action.startswith(("up:", "down:")):
             entry = open_entry()
             if entry is None:
-                events.append({"event": "noop", "t": t, "stack_depth": len(stack)})
+                events.append("noop")
             else:
                 kind, _, target = action.partition(":")
                 gamma = GAMMA_UP if kind == "up" else GAMMA_DOWN
@@ -298,9 +298,7 @@ def run_learner(
             entry.e = total_steps
         n = ssc_evaluate(stack, total_steps, total, policy)
         pops += n
-        events.append(
-            {"event": "final", "t": total_steps, "stack_depth": len(stack), "popped": n}
-        )
+        events.append("final")
 
     return LearnerTrace(
         total_steps=total_steps,

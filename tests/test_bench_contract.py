@@ -39,7 +39,7 @@ def test_benchmark_wrappers_install_count_and_restore():
     try:
         inst.install()
         om.prior.compiler_prefix_check(3, 100)
-        om.ssa.run_learner(om.ssa.SwitchingBandit(10), 200, 0, record_steps=False)
+        trace = om.ssa.run_learner(om.ssa.SwitchingBandit(10), 200, 0, record_steps=False)
         reg = om.enumeration.dovetail(64)
         om.multiverse.dedup_universes(reg, 2)
     finally:
@@ -48,5 +48,7 @@ def test_benchmark_wrappers_install_count_and_restore():
     counts = tracer.counts
     assert counts["prior.sweep.visited"] > 0 and counts["prior.sweep.canonical"] > 0
     assert counts["ssa.steps"] == 200
+    assert counts["ssa.events"] == len(trace.events)
+    assert set(trace.events) <= {"begin", "end", "pop", "noop", "final"}
     assert counts["enumeration.dovetail.programs"] == len(reg.entries)
     assert counts["multiverse.dedup.groups"] > 0

@@ -126,6 +126,9 @@ def test_dovetail_small_frozen():
     assert reg.requested_steps == 8
     assert reg.total_steps == sum(e.steps_executed for e in reg.entries.values())
     assert reg.entries[1].halted  # the empty program halts at once
+    # A_k is offered a step exactly for k <= n.bit_length()
+    for n in (2**10 - 1, 2**10, 2**10 + 1):
+        assert sorted(dovetail(n).entries) == list(range(1, n.bit_length() + 1))
 
 
 def test_snapshot_rows_schema():

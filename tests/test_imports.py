@@ -132,7 +132,7 @@ def _decoders(path):
 
 def test_one_fetch_decode_loop():
     # every run goes through machine._resume: a second copy of the loop
-    # would need its own loop records, kept in step with the first
+    # would need its own loop record, kept in step with the first
     decoders = [
         f"{path.name}:{name}"
         for path in sorted((ROOT / "src" / "omni").glob("*.py"))

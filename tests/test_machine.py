@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -75,6 +76,19 @@ def test_loop_without_mark_jumps_to_program_start():
 def test_output_cap_truncates():
     r = run("1010,,000000000011,0", 10_000, out_cap=4)
     assert r.output == "0000" and r.truncated
+
+
+def test_output_cap_bounds_the_stored_output():
+    # 200 READAUX of a 100,000-symbol aux tape print 2*10^7 symbols; the run
+    # stores the first 4,096 and no more
+    tracemalloc.start()
+    try:
+        r = run(",," * 200, 1000, variant=T3C, aux="0" * 100_000, out_cap=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (r.output, r.status, r.consumed, r.steps, r.truncated) == ("0" * 4096, HALTED, 400, 200, True)
+    assert peak < 8 * 2**20
 
 
 def test_t3c_mark_becomes_copy_all():

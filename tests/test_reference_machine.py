@@ -125,7 +125,8 @@ def _loops_forever(p, variant, aux):
 @pytest.mark.parametrize("budget", BUDGETS + (300,))
 def test_pruned_searchers_match_reference_on_all_short_programs(budget):
     # the search loop, run on whole programs, aborts on cycle and divergence
-    # proofs, so budgets past its warm-up exercise the pruning
+    # proofs, which need two visits, so each budget of 4 steps or more
+    # exercises the pruning
     for p in ALL_UP_TO_6:
         ints = machine.to_ints(p)
         for aux in (None,) + AUX_TAPES:
@@ -217,9 +218,10 @@ def test_first_witness_walk_matches_per_program_definition(budget, aux):
 
 @pytest.mark.parametrize("prefix", ("10" * 8, "10" * 8 + "11" * 8 + ",,"))
 def test_first_witness_walk_from_a_prefix_past_the_warm_up(prefix):
-    # the prefix leaves the run suspended after the warm-up (the second one
-    # with a cycle record at the fork), so sibling subtrees resume the same
-    # state: a cycle record shared between them would kill all but the first
+    # the prefix leaves the run suspended after 8 or 17 steps (the second
+    # one with a visit at register 0 in its loop record at the fork), so
+    # sibling subtrees resume the same state: a loop record shared between
+    # them would kill all but the first
     max_len = len(prefix) + 6
     first = first_witnesses_by_string(max_len, 300, prefix=prefix)
     ints = machine.to_ints(prefix)
@@ -305,8 +307,8 @@ def _check_searchers_on_bodies(prefix, budget=300):
 
 def test_fast_forwarded_runs_match_reference_past_the_warm_up():
     # eight INCs, then every body of up to four instructions: the loops the
-    # bodies build start as the loop records engage, and a cap of 2 is first
-    # reached inside the period a proof spans
+    # bodies build start at register 8, and a cap of 2 is first reached
+    # inside the period a proof spans
     bodies = itertools.chain.from_iterable(
         itertools.product(INSTRUCTIONS, repeat=j) for j in range(5)
     )
@@ -326,17 +328,17 @@ def test_fast_forward_needs_no_zero_between_the_visits(budget):
 
 
 def test_pruned_searchers_match_reference_past_the_warm_up():
-    # eight INCs, then the bodies: the loops these build are still running
-    # when the cycle and divergence checks engage, which short programs
-    # rarely are
+    # eight INCs, then the bodies: the loops these build start at register
+    # 8, so the cycle and divergence checks compare registers far from zero,
+    # which short programs rarely reach
     _check_searchers_on_bodies("10" * 8)
 
 
 def test_pruned_searchers_match_reference_after_the_register_returns_to_zero():
-    # eight INCs and eight DECs bring the register back to zero as the
-    # warm-up ends, then a MARK and the bodies: a loop state seen at
-    # register zero and met again with a higher register proves nothing,
-    # since a zero test there branched the other way
+    # eight INCs and eight DECs bring the register back to zero at step
+    # 16, then a MARK and the bodies: a loop state seen at register zero
+    # and met again with a higher register proves nothing, since a zero
+    # test there branched the other way
     _check_searchers_on_bodies("10" * 8 + "11" * 8 + ",,")
 
 
@@ -358,10 +360,11 @@ class _StepLimit(int):
 
 @pytest.mark.parametrize("start", (3, 5, 7))
 def test_pruned_searchers_see_a_cycle_entered_below_its_first_register(start):
-    # after the warm-up and `start` INCs, the loop DEC DEC INC LOOP takes the
-    # register down by one a pass until it cycles at 1; the searchers see the
-    # cycle only because each visit's register replaces the one stored for
-    # the loop state, and without that they run to the budget
+    # after eight INCs, eight DECs and `start` INCs, the loop DEC DEC INC
+    # LOOP takes the register down by one a pass until it cycles at 1; the
+    # searchers see the cycle only because each visit's register replaces
+    # the one stored for the loop state, and without that they run to the
+    # budget
     p = "10" * 8 + "11" * 8 + "10" * start + ",," + "1111" + "10" + ",0"
     _, _, status, *_ = reference_run(p, 300)
     assert status == machine.BUDGET
@@ -420,6 +423,21 @@ def test_run_skips_a_cycle_through_register_zero():
     assert 0 < budget.checks
 
 
+@pytest.mark.parametrize(
+    "program, steps, hit",
+    [
+        ("10,,,0", 4, (1, 3, 0)),  # INC MARK LOOP: the LOOP repeats at step 4
+        ("10,,00,0", 6, (1, 4, 1)),  # INC MARK OUT0 LOOP: a printing cycle
+    ],
+)
+def test_pruned_runs_prove_a_loop_from_the_first_step(program, steps, hit):
+    # the loop record is kept from step 1, so the second visit to the LOOP
+    # proves the cycle; hit is the first visit as (register, steps, output
+    # length)
+    why, state = machine._resume(machine.to_ints(program), 10**6, machine._NO_CAP)
+    assert (why, state[4], state[6]) == (machine._IN_LOOP, steps, hit)
+
+
 def test_pruned_runs_decide_every_countdown_tape():
     # INC^a MARK DEC LOOP, then every body of up to four instructions: each
     # run halts, reaches the end of its tape or is proven to loop, and none
@@ -435,7 +453,7 @@ def test_pruned_runs_decide_every_countdown_tape():
 
 def test_pruned_searchers_abandon_a_printing_loop():
     # INC MARK OUT0 LOOP prints forever: no instruction reads the output, so
-    # the loop records leave its length out and see the repeat at once
+    # the loop record leaves its length out and sees the repeat at once
     budget = _StepLimit(10**6, limit=100)
     assert machine._resume(machine.to_ints("10,,00,0"), budget, 10**6)[0] == machine._IN_LOOP
     assert 0 < budget.checks

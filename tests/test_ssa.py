@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -142,6 +143,13 @@ def test_run_learner_deterministic_and_accounted():
     assert len(rows) == 3000
     assert rows[-1]["R"] == pytest.approx(t1.total_reward)
     assert sum(r["reward"] for r in rows) == pytest.approx(t1.total_reward)
+
+
+def test_run_learner_logs_event_kinds():
+    # one kind per event: a checkpoint begun, ended or popped, an end or an
+    # edit with no open checkpoint, and the final evaluation
+    tr = run_learner(SwitchingBandit(1000), 30_000, seed=0)
+    assert Counter(tr.events) == {"noop": 16853, "begin": 52, "pop": 39, "end": 20, "final": 1}
 
 
 def test_run_learner_story_chain_holds_at_horizon():
