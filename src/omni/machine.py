@@ -91,11 +91,10 @@ output.  consumed is the highest square read: a period visits no new
 square, and ip only moves back at a taken LOOP, where the loop keeps the
 highest ip before the jump.
 
-prior's Monte Carlo sampler runs on _resume too, with a draw that fills the
-tape from the sample's splitmix64 stream: a guessed run that reaches the
-end of its tape draws a block of squares and runs on, in order, so square j
-is symbol j of the stream.
-A drawn square never changes, so the same proofs end a guess early; with
+prior's Monte Carlo sampler runs on _resume too.  A guess's tape starts as
+the first block of its splitmix64 stream; at _AT_END the sampler appends
+the next block and resumes, so square j is symbol j of the stream.  A
+square never changes once read, so the same proofs end a guess early; with
 the longest target's length as the output cap, a guess dies at its first
 symbol past the longest target, at the budget, or on a cycle or
 divergence, and none of those could score.
@@ -194,14 +193,12 @@ _NO_CAP = 1 << 63  # an output cap no run reaches
 _SWAP = str.maketrans("01", "10")  # DUAL's '1' table
 
 
-def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
+def _resume(tape, budget, cap, target=None, aux=None, state=None):
     """Run a tape from square 0 or from a suspended state, pruned.
 
     Output is checked as it grows: at most cap symbols, each agreeing with
     target when one is given.  aux switches on T3C semantics (',,' appends
-    the whole aux tape).  With draw, tape is a list that grows by draw()
-    blocks whenever a fetch needs a square past its end, so the run never
-    reaches the end.  A state's out is a tuple, which the runs resumed
+    the whole aux tape).  A state's out is a tuple, which the runs resumed
     from it share, or a list, which grows in place.
 
     Returns (why, state): why the run stopped (_AT_END, _AT_HALT,
@@ -222,11 +219,7 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None, draw=None):
     seen = None  # the loop record; see the module docstring
     while steps < budget:
         if ip >= n - 1:
-            if draw is None:
-                return _AT_END, (ip, reg, anchor, out, steps, top, None)
-            while n < ip + 2:
-                tape += draw()
-                n = len(tape)
+            return _AT_END, (ip, reg, anchor, out, steps, top, None)
         op = tape[ip] * 3 + tape[ip + 1]
         ip += 2
         steps += 1

@@ -7,10 +7,11 @@ its prior mass from below (runs that would need more steps count as misses).
 Sample i reads a counter-based splitmix64 stream keyed by (seed, i): block
 b is a pure function of the key and b, so no generator is built per sample
 and no sample depends on another.  Each guess runs on the walk's pruned
-loop, machine._resume, and dies at its first output symbol past the
-longest target, at the budget, or on a proven cycle or divergence: such a
-run cannot score, and every sample reads its own stream, so stopping one
-early changes no hit.
+loop, machine._resume, on a tape that starts as block 1 and gains the next
+block each time the run reaches its end.  It dies at its first output
+symbol past the longest target, at the budget, or on a proven cycle or
+divergence: such a run cannot score, and every sample reads its own
+stream, so stopping one early changes no hit.
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target, in one tape-tree walk (_walk) that
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import count, product
+from itertools import product
 
 from . import machine
 from .enumeration import programs
@@ -76,21 +77,23 @@ def _block_symbols(block: int) -> bytes:
     return b"".join(map(_BYTE_SYMBOLS.__getitem__, block.to_bytes(8, "little")))
 
 
-def _draw(key: int):
-    """draw for machine._resume: call b returns the symbols of block b =
-    mix64(key + b * gamma mod 2^64), which is output b of splitmix64 started
-    at key.  A counter, not a state: no generator is built per sample."""
-    return map(_block_symbols, map(mix64, count(key + _MIX1, _MIX1))).__next__
-
-
 def _guess(key: int, budget: int, cap: int) -> tuple | None:
     """Output ints of one guessed run, or None if it does not halt in budget
     with at most cap output symbols.
 
     A lazy machine run whose tape squares are the uniform symbols of the
-    stream keyed key, drawn one 64-bit block at a time.
+    stream keyed key: block b = mix64(key + b * gamma mod 2^64), b >= 1, is
+    output b of splitmix64 started at key.  The tape starts as block 1, and
+    each time the run reaches its end the next block is appended and the
+    run resumed.
     """
-    why, state = machine._resume([], budget, cap, draw=_draw(key))
+    block = key + _MIX1
+    tape = _block_symbols(mix64(block))
+    why, state = machine._resume(tape, budget, cap)
+    while why == machine._AT_END:
+        block += _MIX1
+        tape += _block_symbols(mix64(block))
+        why, state = machine._resume(tape, budget, cap, state=state)
     return state[3] if why == machine._AT_HALT else None
 
 

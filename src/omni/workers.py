@@ -6,6 +6,7 @@ an order-preserving map over a fixed item list; workers=1 stays in-process.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 
@@ -14,8 +15,8 @@ def parallel_map(fn, items, workers: int = 1, chunksize: int | None = None) -> l
         raise ValueError("workers must be >= 1")
     items = list(items)
     # the executor starts all its processes at the first submit, so it gets
-    # no more than there are items
-    workers = min(workers, len(items))
+    # no more than there are items, or CPUs to run them
+    workers = min(workers, len(items), len(os.sched_getaffinity(0)))
     if workers <= 1:
         return [fn(x) for x in items]
     if chunksize is None:

@@ -171,17 +171,23 @@ def test_resumed_run_equals_a_fresh_run(targeted, readaux, aux, out_cap):
             assert got == want, (prog, cut)
 
 
-def _draw_from(source):
-    """A draw that reads a symbol iterator one square at a time."""
-    return lambda: machine.to_ints(next(source))
+def _fed(source, budget, cap):
+    """Run a tape that starts empty and gains one square from a symbol
+    iterator each time the run reaches its end, as prior's sampler gains a
+    block; returns (why, state, tape)."""
+    tape = []
+    why, state = machine._resume(tape, budget, cap)
+    while why == machine._AT_END:
+        tape += machine.to_ints(next(source))
+        why, state = machine._resume(tape, budget, cap, state=state)
+    return why, state, tape
 
 
 def test_drawn_tape_scripted_source():
-    tape = []
-    why, state = machine._resume(tape, 50, 50, draw=_draw_from(iter("000,01,1" + ",,,,,,")))
+    why, state, tape = _fed(iter("000,01,1" + ",,,,,,"), 50, 50)
     assert (why, machine.to_str(state[3]), state[4]) == (machine._AT_HALT, "0,1", 4)
-    assert machine.to_str(tape) == "000,01,1"  # squares are drawn on first visit only
-    # without a draw, a run out of symbols suspends instead of halting
+    assert machine.to_str(tape) == "000,01,1"  # squares are appended only when a fetch needs them
+    # fed nothing more, a run out of symbols suspends instead of halting
     why, state = machine._resume(machine.to_ints("00"), 50, 50)
     assert (why, state[0], machine.to_str(state[3])) == (machine._AT_END, 2, "0")
 
@@ -190,9 +196,9 @@ def test_drawn_tape_scripted_source():
 @settings(max_examples=200)
 def test_sampled_run_agrees_with_fixed_lazy_run(p):
     source = itertools.chain(iter(p), itertools.repeat(","))
-    why, state = machine._resume([], 64, 64, draw=_draw_from(source))
+    why, state, _ = _fed(source, 64, 64)
     fixed = run(p + "," * 130, 64, LAZY)
-    assert why != machine._AT_END  # a drawn tape never ends
+    assert why != machine._AT_END  # a fed tape never ends
     assert (why == machine._AT_HALT) == fixed.halted
     if fixed.halted:
         assert state[3] == tuple(machine.to_ints(fixed.output))

@@ -151,10 +151,11 @@ def test_mc_stream_head_matches_exact_mass():
     n, L, B = 100_000, 10, 200
     hits = Counter()
     for i in range(n):
-        draw = prior._draw(prior._sample_key(0, i))
-        squares = draw()
-        while len(squares) < L:
-            squares += draw()
+        key = prior._sample_key(0, i)
+        squares, b = b"", 0
+        while len(squares) < L:  # blocks b = 1, 2, ..., as _guess reads them
+            b += 1
+            squares += prior._block_symbols(prior.mix64(key + b * prior._MIX1))
         r = machine.run(machine.to_str(squares[:L]), B, machine.LAZY)
         if r.status == machine.HALTED:
             hits[r.output] += 1

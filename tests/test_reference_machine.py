@@ -84,14 +84,18 @@ def test_fast_forwarded_runs_match_reference(budget, max_len):
 
 @pytest.mark.parametrize("budget", BUDGETS)
 def test_source_fed_run_matches_reference_on_all_short_programs(budget):
-    # the program as a source that runs dry after its last symbol: the
-    # drawn run halts when the reference does, with its output and its
-    # squares, and otherwise dies or runs the source dry
+    # the program as a source that runs dry after its last symbol, one
+    # square appended per _AT_END: the fed run halts when the reference
+    # does, with its output and its squares, and otherwise dies or runs the
+    # source dry
     for p in ALL_UP_TO_6:
         source = iter(machine.to_ints(p))
         tape = []
+        why, state = machine._resume(tape, budget, budget)
         try:
-            why, state = machine._resume(tape, budget, budget, draw=lambda: (next(source),))
+            while why == machine._AT_END:
+                tape.append(next(source))
+                why, state = machine._resume(tape, budget, budget, state=state)
         except StopIteration:
             why = state = None
         want = reference_run(max_steps=budget, mode=LAZY, source=iter(p))
@@ -264,6 +268,57 @@ def test_guess_runner_matches_reference_on_seeded_samples(budget):
             max_steps=budget, mode=LAZY, source=trinary_source(77, i)
         )
         assert got == (out if status == machine.HALTED else None), (i, budget)
+
+
+def _scripted_guess(monkeypatch, blocks, budget):
+    """(_guess, reference) outputs, None where a run does not halt, on a
+    stream of the given blocks and then ',' one square per block: the
+    reference reads the same symbols one at a time."""
+    script = itertools.chain(map(machine.to_ints, blocks), itertools.repeat([2]))
+    monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(next(script)))
+    ints = prior._guess(0, budget, budget)
+    source = itertools.chain("".join(blocks), itertools.repeat(","))
+    _, out, status, *_ = reference_run(max_steps=budget, mode=LAZY, source=source)
+    return None if ints is None else machine.to_str(ints), out if status == machine.HALTED else None
+
+
+def _cut(p, sizes):
+    """p cut into blocks of the sizes, cycled."""
+    blocks, at = [], 0
+    for size in itertools.cycle(sizes):
+        if at >= len(p):
+            return blocks
+        blocks.append(p[at : at + size])
+        at += size
+
+
+def test_guess_runner_matches_reference_across_scripted_blocks(monkeypatch):
+    # _guess appends the next block at each _AT_END, so no block boundary
+    # may show: not an empty block (a block can reject all 32 slots), not a
+    # one-symbol block, not a SKIPZ whose skipped pair straddles a boundary
+    assert prior._block_symbols(2**64 - 1) == b""
+    # SKIPZ at register 0 skips the 00 split over ",0" | "0", then OUT1 HALT
+    straddle = ["", "1", "", ",0", "0", "", "01", ",1"]
+    assert _scripted_guess(monkeypatch, straddle, 60) == ("1", "1")
+    for p in ALL_UP_TO_6:
+        for sizes, budget in itertools.product(((0, 1, 2), (1, 0, 0, 3), (2, 0, 1)), (5, 60)):
+            got, want = _scripted_guess(monkeypatch, _cut(p, sizes), budget)
+            assert got == want, (p, sizes, budget)
+
+
+def test_guess_runner_matches_reference_on_a_three_block_sample(monkeypatch):
+    # sample 15,468 of seed 0 reads three blocks before it halts printing
+    # ",1", one of the few at B = 200 and cap 2 that need more than two
+    blocks = []
+    block_symbols = prior._block_symbols
+    monkeypatch.setattr(
+        prior, "_block_symbols", lambda block: blocks.append(block) or block_symbols(block)
+    )
+    ints = prior._guess(prior._sample_key(0, 15468), 200, 2)
+    _, out, status, *_ = reference_run(max_steps=200, mode=LAZY, source=trinary_source(0, 15468))
+    assert (status, out) == (machine.HALTED, ",1")
+    assert machine.to_str(ints) == out
+    assert len(blocks) == 3
 
 
 MC_BATCHES = ([], [""], ["0", "00", "000"], ["", "0", "1,"], [",", "0,", "1,0", "0000"])

@@ -32,10 +32,23 @@ class _RecordingExecutor:
         return map(fn, items)
 
 
-def test_parallel_map_starts_no_more_workers_than_items(monkeypatch):
+def _record_pools(monkeypatch, cpus):
+    """Record the pools parallel_map asks for on a host of cpus CPUs."""
     monkeypatch.setattr(workers, "ProcessPoolExecutor", _RecordingExecutor)
     monkeypatch.setattr(_RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(workers.os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+def test_parallel_map_starts_no_more_workers_than_items(monkeypatch):
+    _record_pools(monkeypatch, 64)  # as many CPUs as the largest request
     assert workers.parallel_map(_square, range(3), 64) == [0, 1, 4]
     assert workers.parallel_map(_square, range(5), 2) == [0, 1, 4, 9, 16]
     assert workers.parallel_map(_square, range(1), 8) == [0]
     assert _RecordingExecutor.sizes == [3, 2]
+
+
+def test_parallel_map_starts_no_more_workers_than_cpus(monkeypatch):
+    _record_pools(monkeypatch, 2)
+    assert workers.parallel_map(_square, range(5), 10**6) == [0, 1, 4, 9, 16]
+    assert workers.parallel_map(_square, range(1), 10**6) == [0]
+    assert _RecordingExecutor.sizes == [2]
