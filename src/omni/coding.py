@@ -1,12 +1,18 @@
 """Entropy accounting for state sequences under a noise model, plus an
-integer arithmetic coder that realizes the ideal code length in practice.
+integer arithmetic coder whose output comes close to that ideal length.
 
 The model is a first-order chain: probabilities for (prev -> next) pairs
 and an optional initial distribution (uniform over the alphabet when not
 given).  Ideal code length is the usual sum of -log2 p along the sequence.
 The coder is a 32-bit low/high range coder; frequency tables are the model
-probabilities quantized to 1/65536 granularity, so the emitted bit count
-stays within a small constant of the ideal length.
+probabilities quantized to 1/65536 granularity.  The emitted bit count
+stays within a small overhead of the ideal length under those quantized
+rows, not under the model itself: wherever a row's quantized probability
+falls short of the model's, the excess over the model's ideal length grows
+linearly with the sequence.  On a 4-state chain whose stay probability
+1 - 3e-6 quantizes to 65536/65539, that is about 6.2e-5 bits per symbol;
+600,000 repeats of one state code in 42 bits, 0.4 bits over the quantized
+rows' ideal of 41.6 but 37.4 over the model's ideal of 4.6.
 """
 
 from __future__ import annotations
@@ -14,7 +20,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-CODER_SLACK_BITS = 32  # quantization + termination overhead allowance
+# termination overhead plus the quantization excess of short sequences;
+# that excess grows with length (see above), so no constant bounds it
+CODER_SLACK_BITS = 32
 
 _NUM_BITS = 32
 _FULL = 1 << _NUM_BITS

@@ -12,12 +12,22 @@ itself, measured from the moment it was made.
 
 The bundled environment is a two-armed bandit whose good arm flips every
 `period` steps, so the story is never allowed to settle.
+
+A step draws r uniform in [0, 1) and takes the first action whose running
+sum of probabilities exceeds r, or the last action when none does.  The
+running sums are cached, one row per state, and rebuilt whenever an edit
+or a rollback writes the vector, so a draw is one bisection.  The row is
+`itertools.accumulate` of the vector, the same left-to-right additions a
+scan makes, so traces are byte-identical to those of the scanning sampler
+of earlier versions.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 BASE_ACTIONS = ["arm0", "arm1", "begin_pmp", "end_pmp", "wait"]
 ACTIONS = (
@@ -36,34 +46,50 @@ GAMMA_UP = 2.0
 GAMMA_DOWN = 0.5
 _GAMMA_MIN, _GAMMA_MAX = 0.25, 4.0
 
+# what the learner does with each action index: (kind, edit target, gamma)
+_ARM, _BEGIN, _END, _EDIT = range(4)
+_DISPATCH = tuple(
+    (_EDIT, target, GAMMA_UP if kind == "up" else GAMMA_DOWN)
+    if target
+    else ({"begin_pmp": _BEGIN, "end_pmp": _END}.get(kind, _ARM), None, None)
+    for kind, _, target in (a.partition(":") for a in ACTIONS)
+)
+_ARMS = ("arm0", "arm1")  # the good arm while t // period is even, odd
+
 
 def floor_renormalize(vec: list[float], floor: float = PROB_FLOOR) -> list[float]:
     """Scale to sum 1 while keeping every entry at least `floor`.
 
     Entries that would fall below the floor are pinned there and the rest
-    are rescaled into the remaining mass; repeats until stable.
+    are rescaled into the remaining mass; repeats until stable.  Each round
+    scales the unpinned entries in one pass, in index order.
     """
     n = len(vec)
     if floor * n > 1.0:
         raise ValueError("floor too large for vector length")
-    pinned = [False] * n
-    out = list(vec)
-    while True:
-        free_mass = 1.0 - floor * sum(pinned)
-        s = sum(v for v, p in zip(out, pinned) if not p)
-        changed = False
-        for i in range(n):
-            if pinned[i]:
-                continue
-            out[i] = (out[i] / s) * free_mass if s > 0 else free_mass / (n - sum(pinned))
-            if out[i] < floor:
-                pinned[i] = True
-                changed = True
-        if not changed:
+    free = range(n)  # the unpinned indices, and their values below
+    vals = list(vec)
+    while vals:
+        free_mass = 1.0 - floor * (n - len(free))
+        s = sum(vals)
+        if s > 0:
+            vals = [(v / s) * free_mass for v in vals]
+        else:
+            # all free entries are zero: each gets free_mass over the
+            # entries not pinned so far, this pass's pins included
+            pinned = n - len(free)
+            for k in range(len(vals)):
+                vals[k] = free_mass / (n - pinned)
+                pinned += vals[k] < floor
+        if not min(vals) < floor:
             break
-    for i in range(n):
-        if pinned[i]:
-            out[i] = floor
+        free = [i for i, v in zip(free, vals) if not v < floor]
+        vals = [v for v in vals if not v < floor]
+    if len(vals) == n:
+        return vals
+    out = [floor] * n
+    for i, v in zip(free, vals):
+        out[i] = v
     return out
 
 
@@ -77,17 +103,6 @@ class Policy:
     def uniform(cls) -> "Policy":
         n = len(ACTIONS)
         return cls({STATE: [1.0 / n] * n})
-
-
-def select_action(policy: Policy, state: str, rng: random.Random) -> str:
-    r = rng.random()
-    cum = 0.0
-    vec = policy.vectors[state]
-    for i, p in enumerate(vec):
-        cum += p
-        if r < cum:
-            return ACTIONS[i]
-    return ACTIONS[-1]
 
 
 def apply_pla(policy: Policy, state: str, action: str, gamma: float) -> list[float]:
@@ -116,17 +131,24 @@ def ssc_holds(t: int, reward_t: float, checkpoints: list[tuple[int, float]]) -> 
     R(t)/t < (R(t)-R(v_1))/(t-v_1) < ... strictly; a checkpoint at v_i >= t
     or a tie anywhere is a violation.
     """
+    return _story_length(t, reward_t, checkpoints) == len(checkpoints)
+
+
+def _story_length(t: int, reward_t: float, checkpoints: list[tuple[int, float]]) -> int:
+    """The length of the longest prefix of checkpoints, oldest first, for
+    which the criterion holds at t.  Each check reads only the checkpoints
+    before it, so that prefix ends at the first failing check."""
     if t <= 0:
-        return not checkpoints
+        return 0
     prev = reward_t / t
-    for v, r_v in checkpoints:
+    for k, (v, r_v) in enumerate(checkpoints):
         if v >= t:
-            return False
+            return k
         slope = (reward_t - r_v) / (t - v)
         if slope <= prev:
-            return False
+            return k
         prev = slope
-    return True
+    return len(checkpoints)
 
 
 def ssc_evaluate(
@@ -134,15 +156,13 @@ def ssc_evaluate(
 ) -> int:
     """Pop checkpoints, newest first, until the criterion holds for what is
     left, rolling back each popped entry's edits in reverse order.  Returns
-    the number popped."""
-    popped = 0
-    while stack:
-        if ssc_holds(t, reward_t, [(en.s, en.reward_at) for en in stack]):
-            break
+    the number popped, found in one pass along the chain."""
+    keep = _story_length(t, reward_t, [(en.s, en.reward_at) for en in stack])
+    popped = len(stack) - keep
+    while len(stack) > keep:
         entry = stack.pop()
         for state, vec in reversed(entry.modifications):
             policy.vectors[state] = vec
-        popped += 1
     return popped
 
 
@@ -157,15 +177,13 @@ class SwitchingBandit:
         self.period = period
         self.t = 0
 
-    @property
-    def state(self) -> str:
-        return STATE
+    state = STATE
 
     def good_arm(self, t: int) -> str:
-        return "arm0" if (t // self.period) % 2 == 0 else "arm1"
+        return _ARMS[(t // self.period) % 2]
 
     def act(self, action: str) -> float:
-        reward = 1.0 if action == self.good_arm(self.t) else 0.0
+        reward = 1.0 if action == _ARMS[(self.t // self.period) % 2] else 0.0
         self.t += 1
         return reward
 
@@ -224,6 +242,11 @@ class LearnerTrace:
         }
 
 
+def _rows(policy: Policy) -> dict[str, list[float]]:
+    """Each state's running sums of its vector, the rows a step bisects."""
+    return {s: list(accumulate(v)) for s, v in policy.vectors.items()}
+
+
 def run_learner(
     env,
     total_steps: int,
@@ -236,68 +259,60 @@ def run_learner(
     the criterion at t = total_steps."""
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
-    rng = random.Random(seed)
+    draw = random.Random(seed).random
     policy = Policy.uniform()
+    rows = _rows(policy)
+    last = len(ACTIONS) - 1
     stack: list[StackEntry] = []
+    opened: StackEntry | None = None  # the top of the stack while open
     events: list[str] = []
     actions: list[int] | None = [] if record_steps else None
     rewards: list[float] | None = [] if record_steps else None
     total = 0.0
     pops = 0
 
-    def open_entry() -> StackEntry | None:
-        if stack and stack[-1].e is None:
-            return stack[-1]
-        return None
-
     for t in range(1, total_steps + 1):
         state = env.state
-        action = select_action(policy, state, rng)
-        reward = env.act(action)
+        i = bisect_right(rows[state], draw())
+        if i > last:  # r at or above the row's last sum
+            i = last
+        reward = env.act(ACTIONS[i])
         total += reward
         if record_steps:
-            actions.append(_ACTION_INDEX[action])
+            actions.append(i)
             rewards.append(reward)
         if not learn:
             continue
-        if action == "begin_pmp":
-            entry = open_entry()
-            if entry is not None:
-                entry.e = t
+        kind, target, gamma = _DISPATCH[i]
+        if kind == _ARM:
+            continue
+        if opened is None and kind != _BEGIN:
+            events.append("noop")
+        elif kind == _EDIT:
+            opened.modifications.append((state, apply_pla(policy, state, target, gamma)))
+            rows[state] = list(accumulate(policy.vectors[state]))
+        else:
+            # a begin, or the end of the open checkpoint: close it and
+            # judge the story
+            if opened is not None:
+                opened.e = t
             n = ssc_evaluate(stack, t, total, policy)
-            pops += n
             if n:
-                events.append("pop")
-            stack.append(StackEntry(t, total))
-            events.append("begin")
-        elif action == "end_pmp":
-            entry = open_entry()
-            if entry is None:
-                events.append("noop")
-            else:
-                entry.e = t
-                n = ssc_evaluate(stack, t, total, policy)
                 pops += n
-                if n:
-                    events.append("pop")
-                events.append("end")
-        elif action.startswith(("up:", "down:")):
-            entry = open_entry()
-            if entry is None:
-                events.append("noop")
+                events.append("pop")
+                rows = _rows(policy)
+            if kind == _BEGIN:
+                opened = StackEntry(t, total)
+                stack.append(opened)
+                events.append("begin")
             else:
-                kind, _, target = action.partition(":")
-                gamma = GAMMA_UP if kind == "up" else GAMMA_DOWN
-                entry.modifications.append(
-                    (state, apply_pla(policy, state, target, gamma))
-                )
+                opened = None
+                events.append("end")
 
     if learn:
-        entry = open_entry()
-        if entry is not None:
-            entry.e = total_steps
-        n = ssc_evaluate(stack, total_steps, total, policy)
-        pops += n
+        if opened is not None:
+            opened.e = total_steps
+        pops += ssc_evaluate(stack, total_steps, total, policy)
         events.append("final")
 
     return LearnerTrace(

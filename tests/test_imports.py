@@ -95,6 +95,22 @@ def _reads_outside_own_definition(path):
     return reads
 
 
+def _modules():
+    return [p for p in sorted((ROOT / "src" / "omni").glob("*.py")) if p.name != "__init__.py"]
+
+
+def _uncalled(names):
+    """The names that no code in src/omni reads outside their own
+    definition and that bench/ never reads.  parse_evolution waits for its
+    first caller, the perceived-randomness report (ROADMAP item 8)."""
+    read = set()
+    for path in _modules():
+        read |= {name for name, owner in _reads_outside_own_definition(path) if owner != name}
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        read |= {name for name, _ in _reads_outside_own_definition(path)}
+    return [name for name in names if name not in read and name != "parse_evolution"]
+
+
 def test_every_exported_function_and_class_has_a_caller():
     # a public name only tests call is API the package does not need
     exported = [
@@ -103,16 +119,20 @@ def test_every_exported_function_and_class_has_a_caller():
         if inspect.isfunction(getattr(omni, name)) or inspect.isclass(getattr(omni, name))
     ]
     assert len(exported) > 30
-    read = set()
-    for path in sorted((ROOT / "src" / "omni").glob("*.py")):
-        if path.name != "__init__.py":
-            read |= {name for name, owner in _reads_outside_own_definition(path) if owner != name}
-    for path in sorted((ROOT / "bench").glob("*.py")):
-        read |= {name for name, _ in _reads_outside_own_definition(path)}
-    # parse_evolution waits for its first caller, the perceived-randomness
-    # report (ROADMAP item 8)
-    uncalled = [name for name in exported if name not in read and name != "parse_evolution"]
-    assert uncalled == []
+    assert _uncalled(exported) == []
+
+
+def test_every_public_function_and_class_in_src_has_a_caller():
+    # the same rule for public helpers that omni.__all__ leaves out
+    defined = [
+        (path.stem, node.name)
+        for path in _modules()
+        for node in ast.parse(path.read_text(), str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert len(defined) > 50
+    uncalled = set(_uncalled(name for _, name in defined))
+    assert [f"{module}.{name}" for module, name in defined if name in uncalled] == []
 
 
 _FETCH = re.compile(r"(\w+)\[(\w+)\] \* 3 \+ \1\[\2 \+ 1\]|3 \* (\w+)\[(\w+)\] \+ \3\[\4 \+ 1\]")

@@ -1,5 +1,6 @@
-import random
 from collections import Counter
+from itertools import accumulate
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +15,6 @@ from omni.ssa import (
     apply_pla,
     floor_renormalize,
     run_learner,
-    select_action,
     ssc_evaluate,
     ssc_holds,
     uniform_baseline,
@@ -127,13 +127,6 @@ def test_switching_bandit_schedule():
         SwitchingBandit(0)
 
 
-def test_select_action_is_seed_deterministic():
-    p = Policy.uniform()
-    a = [select_action(p, "B", random.Random(3)) for _ in range(5)]
-    b = [select_action(p, "B", random.Random(3)) for _ in range(5)]
-    assert a == b
-
-
 def test_run_learner_deterministic_and_accounted():
     t1 = run_learner(SwitchingBandit(50), 3000, seed=7)
     t2 = run_learner(SwitchingBandit(50), 3000, seed=7)
@@ -175,3 +168,59 @@ def test_learner_beats_baseline_spot_check():
     base = uniform_baseline(SwitchingBandit(200), 20_000, seed=1)
     assert learner.mean_reward > base.mean_reward
 
+
+
+def _scripted(monkeypatch, draws, learn=True):
+    """run_learner with draws in place of the seeded stream's values, on
+    a bandit whose good arm never changes."""
+    stream = SimpleNamespace(random=iter(draws).__next__)
+    monkeypatch.setattr(ssa, "random", SimpleNamespace(Random=lambda seed: stream))
+    return run_learner(SwitchingBandit(10**9), len(draws), seed=0, learn=learn)
+
+
+def _mid(vec, i):
+    """A draw strictly inside action i's interval of the row of vec."""
+    row = [0.0, *accumulate(vec)]
+    return (row[i] + row[i + 1]) / 2
+
+
+def test_draw_at_a_partial_sum_takes_the_next_action(monkeypatch):
+    # the scan's test is r < cum[i], so r == cum[i] moves on to i + 1
+    row = list(accumulate(Policy.uniform().vectors["B"]))
+    tr = _scripted(monkeypatch, [0.0, *row[:-1]], learn=False)
+    assert tr.actions == list(range(15))
+
+
+def test_draw_past_the_last_sum_takes_the_last_action(monkeypatch):
+    # after up:arm0 and down:arm1 the row ends below 1; a draw at or above
+    # its last sum falls through to the last action, as the scan did
+    policy, draws = Policy.uniform(), []
+    draws.append(_mid(policy.vectors["B"], ACTIONS.index("begin_pmp")))
+    for action, target, gamma in (("up:arm0", "arm0", 2.0), ("down:arm1", "arm1", 0.5)):
+        draws.append(_mid(policy.vectors["B"], ACTIONS.index(action)))
+        apply_pla(policy, "B", target, gamma)
+    last_sum = list(accumulate(policy.vectors["B"]))[-1]
+    assert last_sum < 1.0
+    for r in (last_sum, (last_sum + 1.0) / 2):
+        tr = _scripted(monkeypatch, [*draws, r])
+        assert tr.actions == [2, 5, 11, 14]
+
+
+def test_first_draw_after_a_pop_reads_the_restored_row(monkeypatch):
+    # begin, three up:arm0 edits, then an end with no reward since the
+    # checkpoint: the pop restores the uniform vector, and the next draw
+    # must read its row, not the edited one
+    policy, draws = Policy.uniform(), []
+    draws.append(_mid(policy.vectors["B"], ACTIONS.index("begin_pmp")))
+    for _ in range(3):
+        draws.append(_mid(policy.vectors["B"], ACTIONS.index("up:arm0")))
+        apply_pla(policy, "B", "arm0", 2.0)
+    draws.append(_mid(policy.vectors["B"], ACTIONS.index("end_pmp")))
+    stale = list(accumulate(policy.vectors["B"]))
+    restored = list(accumulate(Policy.uniform().vectors["B"]))
+    r = 0.3
+    assert next(i for i, c in enumerate(stale) if r < c) == 0
+    assert next(i for i, c in enumerate(restored) if r < c) == 4
+    tr = _scripted(monkeypatch, [*draws, r])
+    assert tr.events == ["begin", "pop", "end", "final"]
+    assert tr.actions == [2, 5, 5, 5, 3, 4]
