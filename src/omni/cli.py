@@ -116,7 +116,6 @@ def _build_parser() -> _Parser:
     sp.add_argument("--x", required=True, help="comma-separated state sequence")
 
     sp = add("ssa", _cmd_ssa, "run the self-modifying learner")
-    sp.add_argument("--env", choices=["switching"], default="switching")
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--lifetime", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)

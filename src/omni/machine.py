@@ -22,8 +22,16 @@ Variants:
            MARK is unavailable, so the anchor stays at square 0.
 * DUAL  -- the first fetched symbol selects a table: '0' runs the rest as
            T3, '1' runs the rest as T3 with the OUT0/OUT1 emissions
-           swapped, ',' halts immediately with empty output.  The one
-           selector symbol is the whole cost of hosting a T3 program.
+           swapped, ',' halts immediately with empty output.  The '1'
+           table has one encoding, _sigma, which swaps 00 and 01 in each
+           pair aligned to a string's first square.  Every fetch reads a
+           pair aligned to the run's first square (ip moves by 2 or 4 and
+           jumps only to an anchor, an earlier ip), and OUT0 and OUT1
+           differ only in what they print, so _sigma(p) runs as p does with
+           the two swapped.  run hosts the rest, or _sigma(rest) after a
+           '1', on the one loop below, from square 1 with the anchor there
+           and one step spent: the selector, one fetch of one square, is
+           the whole cost of hosting T3.  An empty program runs as in T3.
 
 Run modes:
 
@@ -177,10 +185,10 @@ def check_inputs(max_steps: int, *texts: str) -> None:
         to_ints(t)
 
 
-# every string of m symbols in reverse lexicographic order, for m = 1..4: a
-# suspended run needs one to four more squares (four after a SKIPZ over the
-# tape's end) before its next fetch
-_TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in range(1, 5)}
+# every string of m symbols in reverse lexicographic order, for m = 2 and 4:
+# a walk's tape and a suspended run's ip are even, so its next fetch needs
+# two more squares (four after a SKIPZ over the tape's end)
+_TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in (2, 4)}
 
 # why _resume stopped
 _AT_END = "end"  # the next fetch reads past the end of the tape
@@ -190,7 +198,19 @@ _AT_BUDGET = "budget"
 _IN_LOOP = "loop"  # a proven cycle or divergence
 
 _NO_CAP = 1 << 63  # an output cap no run reaches
-_SWAP = str.maketrans("01", "10")  # DUAL's '1' table
+
+# _sigma on each string of up to four symbols (it keeps any other chunk as is)
+_SIGMA4 = {
+    q: "".join({"00": "01", "01": "00"}.get(q[i : i + 2], q[i : i + 2]) for i in (0, 2))
+    for n in range(5)
+    for q in map("".join, product(SYMBOLS, repeat=n))
+}
+
+
+def _sigma(p: str) -> str:
+    """DUAL's '1' table (see the module docstring)."""
+    chunks = [p[i : i + 4] for i in range(0, len(p), 4)]
+    return "".join(map(_SIGMA4.get, chunks, chunks))
 
 
 def _resume(tape, budget, cap, target=None, aux=None, state=None):
@@ -276,8 +296,8 @@ def _witnesses(
     max_len, budget, cap, target=None, aux=None, prefix=(), shortest=False, mode=FINITE
 ):
     """Walk the tape tree of the programs of length <= max_len that start
-    with prefix, and yield (program, output) for each halt in
-    lexicographic order.
+    with prefix, an even number of squares, and yield (program, output)
+    for each halt in lexicographic order.
 
     * FINITE: a node halts when its run reaches the end of its tape or runs
       HALT, and it is yielded when it printed exactly cap symbols
@@ -338,40 +358,36 @@ def run(
     pre: max_steps >= 1; aux is given exactly for variant T3C.  out_cap
     keeps the first out_cap output symbols and sets truncated when the run
     printed more.  A proven loop skips every whole period left in the
-    budget (see the module docstring).
+    budget, and a DUAL program runs on the same loop from square 1 (see
+    the module docstring).
     """
     check_inputs(max_steps)
     if mode not in (FINITE, LAZY):
         raise ValueError(f"unknown mode: {mode!r}")
+    if variant not in (T3, T3C, DUAL):
+        raise ValueError(f"unknown variant: {variant!r}")
     if variant == T3C:
         if aux is None:
             raise ValueError("variant t3c requires an aux tape")
     elif aux is not None:
         raise ValueError(f"variant {variant} takes no aux tape")
-    tape = to_ints(program)
-    finite = mode == FINITE
-    budget = max_steps
-    head = 0  # squares and steps before the T3 run: DUAL's selector
-    if variant == DUAL:
-        if not tape:
-            return RunResult(program, "", HALTED if finite else BUDGET, 0, 0)
-        if tape[0] == 2:  # ',' selector: halt with empty output
-            return RunResult(program, "", HALTED, 1, 1)
-        head = 1
-        tape = tape[1:]
-        budget = max_steps - 1
+    hosted = variant == DUAL and program != ""  # a selector, then the T3 tape it hosts
+    tape = to_ints("1" + _sigma(program[1:]) if hosted and program[0] == "1" else program)
+    if hosted and tape[0] == 2:  # ',' selector: halt with empty output
+        return RunResult(program, "", HALTED, 1, 1)
     aux_ints = to_ints(aux) if aux is not None else None
     cap = _NO_CAP if out_cap is None else out_cap
     kept = None  # the output stored, once the run printed more than out_cap
-    state = (0, 0, 0, [], 0, 0, None)
+    start = 1 if hosted else 0  # a DUAL selector is one fetch of one square
+    state = (start, 0, start, [], start, 0, None)
     while True:
         why, (ip, reg, anchor, out, steps, top, hit) = _resume(
-            tape, budget, cap, None, aux_ints, state
+            tape, max_steps, cap, None, aux_ints, state
         )
         if why == _IN_LOOP:
             # fast-forward: one period ran from the visit hit to here
             reg0, step0, k0 = hit
-            periods = (budget - steps) // (steps - step0)
+            periods = (max_steps - steps) // (steps - step0)
             reg += periods * (reg - reg0)
             steps += periods * (steps - step0)
             seg = out[k0:]
@@ -392,13 +408,9 @@ def run(
             kept, cap, aux_ints = out, _NO_CAP, aux_ints and ()
         state = (ip, reg, anchor, out if kept is None else [], steps, top, None)
     truncated = kept is not None
-    output = to_str(kept if truncated else out)
-    if head and program[0] == "1":  # swapped table: OUT0 emits '1', OUT1 emits '0'
-        output = output.translate(_SWAP)
     n = len(tape)
     high = ip if ip > top else top  # past the highest square read
     consumed = n if why == _AT_END or high > n else high
-    halted = why == _AT_HALT or why == _AT_END and finite
-    return RunResult(
-        program, output, HALTED if halted else BUDGET, consumed + head, steps + head, truncated
-    )
+    halted = why == _AT_HALT or why == _AT_END and mode == FINITE
+    output = to_str(kept if truncated else out)
+    return RunResult(program, output, HALTED if halted else BUDGET, consumed, steps, truncated)

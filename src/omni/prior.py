@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 
 from . import machine
 from .enumeration import programs
@@ -189,27 +188,15 @@ def estimate_prior_mc(
 
 
 _SHORTLEX = str.maketrans(",", "2")  # digit order 0 < 1 < ','
-# sigma on every string of up to four symbols: each even-aligned 00 <-> 01.
-# Every fetch reads an even-aligned pair, so sigma(p) runs as p does, but
-# prints a 1 for each 0 that p prints and a 0 for each 1.
-_SIGMA4 = {
-    q: "".join({"00": "01", "01": "00"}.get(q[i : i + 2], q[i : i + 2]) for i in (0, 2))
-    for n in range(5)
-    for q in map("".join, product(machine.SYMBOLS, repeat=n))
-}
-
-
-def _sigma(p: str) -> str:
-    return "".join([_SIGMA4[p[i : i + 4]] for i in range(0, len(p), 4)])
 
 
 def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     """Yield (program, output ints) of the canonical programs up to max_len
     whose output is a prefix of target (all of them without one), in one
-    lazy-mode walk (machine._witnesses), lexicographic for T3.  A DUAL
-    program is its selector symbol and then a T3 program run at budget - 1:
-    ',' alone, then for each p of the T3 walk, '0' + p and '1' + sigma(p).
-    The '1' table swaps back what sigma swaps, so both print what p prints.
+    lazy-mode walk (machine._witnesses), lexicographic for T3.  The DUAL
+    ones are ',' alone, then for each p of the T3 walk at budget - 1 (the
+    selector takes a step), '0' + p and '1' + machine._sigma(p), which both
+    print what p prints: run hosts sigma(sigma(p)) = p for the latter.
     """
     machine.check_inputs(budget)
     cap = budget if target is None else len(target)
@@ -220,7 +207,7 @@ def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
             yield ",", ()
         for p, out in machine._witnesses(max_len - 1, budget - 1, cap, target, mode=LAZY):
             yield "0" + p, out
-            yield "1" + _sigma(p), out
+            yield "1" + machine._sigma(p), out
     else:
         raise ValueError(f"no canonical programs for variant {variant!r}")
 

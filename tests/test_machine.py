@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from omni import machine
 from omni.enumeration import programs
-from omni.machine import BUDGET, DUAL, HALTED, LAZY, T3C, run
+from omni.machine import BUDGET, DUAL, HALTED, LAZY, T3, T3C, run
 
 programs_st = st.text(alphabet="01,", max_size=8)
 
@@ -134,6 +134,12 @@ def test_dual_accounting_adds_selector():
 def test_max_steps_validation():
     with pytest.raises(ValueError):
         run("00", 0)
+
+
+@pytest.mark.parametrize("mode, variant", [("eager", T3), (LAZY, "bogus"), (LAZY, "DUAL")])
+def test_unknown_mode_or_variant_is_refused(mode, variant):
+    with pytest.raises(ValueError, match="unknown"):
+        run("00,1", 10, mode, variant)
 
 
 def test_is_canonical():

@@ -221,7 +221,7 @@ def test_first_witness_walk_matches_per_program_definition(budget, aux):
 
 
 @pytest.mark.parametrize("prefix", ("10" * 8, "10" * 8 + "11" * 8 + ",,"))
-def test_first_witness_walk_from_a_prefix_past_the_warm_up(prefix):
+def test_first_witness_walk_from_a_prefix_resumes_each_subtree_afresh(prefix):
     # the prefix leaves the run suspended after 8 or 17 steps (the second
     # one with a visit at register 0 in its loop record at the fork), so
     # sibling subtrees resume the same state: a loop record shared between
@@ -360,7 +360,7 @@ def _check_searchers_on_bodies(prefix, budget=300):
         assert _printed(ints, budget, len(out)) == want, p
 
 
-def test_fast_forwarded_runs_match_reference_past_the_warm_up():
+def test_fast_forwarded_runs_match_reference_from_register_8():
     # eight INCs, then every body of up to four instructions: the loops the
     # bodies build start at register 8, and a cap of 2 is first reached
     # inside the period a proof spans
@@ -382,7 +382,7 @@ def test_fast_forward_needs_no_zero_between_the_visits(budget):
         assert _fields(machine.run(p, budget, out_cap=cap)) == want, cap
 
 
-def test_pruned_searchers_match_reference_past_the_warm_up():
+def test_pruned_searchers_match_reference_from_register_8():
     # eight INCs, then the bodies: the loops these build start at register
     # 8, so the cycle and divergence checks compare registers far from zero,
     # which short programs rarely reach
@@ -444,18 +444,20 @@ def test_pruned_runs_see_a_loop_state_first_met_at_register_zero():
 
 
 @pytest.mark.parametrize(
-    "program, variant",
+    "program, variant, symbol",
     [
-        ("10,,00,0", T3),  # INC MARK OUT0 LOOP: a printing cycle
-        (",,100000,0", T3),  # MARK INC OUT0 OUT0 LOOP: the register climbs
-        ("0,,100000,0", DUAL),
+        ("10,,00,0", T3, "0"),  # INC MARK OUT0 LOOP: a printing cycle
+        (",,100000,0", T3, "0"),  # MARK INC OUT0 OUT0 LOOP: the register climbs
+        ("0,,100000,0", DUAL, "0"),
+        ("1,,100000,0", DUAL, "1"),  # the '1' table prints 1 for each OUT0
     ],
 )
 @pytest.mark.parametrize("mode", (FINITE, LAZY))
-def test_run_skips_a_proven_loop_to_a_2_to_200_step_budget(program, variant, mode):
+def test_run_skips_a_proven_loop_to_a_2_to_200_step_budget(program, variant, symbol, mode):
     budget = _StepLimit(2**200, limit=100)
     r = machine.run(program, budget, mode, variant, out_cap=4096)
-    assert (r.output, r.status, r.steps, r.truncated) == ("0" * 4096, machine.BUDGET, 2**200, True)
+    want = (symbol * 4096, machine.BUDGET, 2**200, True)
+    assert (r.output, r.status, r.steps, r.truncated) == want
     assert r.consumed == len(program)
 
 
