@@ -37,6 +37,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
     modes = sorted((machine.FINITE, machine.LAZY))
     variants = sorted((machine.T3, machine.T3C, machine.DUAL))
+    walked = sorted((machine.T3, machine.DUAL))  # the variants with canonical programs
 
     def add(name, handler, help_text):
         sp = sub.add_parser(name, help=help_text)
@@ -94,12 +95,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("--target", required=True)
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
-    sp.add_argument("--variant", choices=variants, default=machine.T3)
+    sp.add_argument("--variant", choices=walked, default=machine.T3)
 
     sp = add("kraft", _cmd_kraft, "total canonical program mass up to a length cap")
     sp.add_argument("--max-len", dest="max_len", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
-    sp.add_argument("--variant", choices=variants, default=machine.T3)
+    sp.add_argument("--variant", choices=walked, default=machine.T3)
 
     sp = add("coding-gap", _cmd_coding_gap, "compare -log3(prior mass) against shortest witnesses")
     sp.add_argument("--target", action="append", required=True)

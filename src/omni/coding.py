@@ -63,18 +63,18 @@ class NoiseModel:
         for (a, b), p in self.transitions.items():
             if a not in states or b not in states:
                 raise ValueError(f"transition {a!r} -> {b!r} leaves the alphabet")
-            if p < 0:
-                raise ValueError(f"negative probability for {a!r} -> {b!r}")
+            if not p >= 0:  # NaN compares false
+                raise ValueError(f"probability {p} for {a!r} -> {b!r} is not >= 0")
             rows[a] = rows.get(a, 0.0) + p
         for a, s in rows.items():
-            if abs(s - 1.0) > 1e-9:
+            if not abs(s - 1.0) <= 1e-9:
                 raise ValueError(f"outgoing probabilities from {a!r} sum to {s}")
         if self.initial is not None:
             if not states.issuperset(self.initial):
                 raise ValueError("initial distribution outside the alphabet")
-            s = sum(self.initial.values())
-            if abs(s - 1.0) > 1e-9:
-                raise ValueError(f"initial distribution sums to {s}")
+            s = sum(self.initial.values())  # NaN when an entry is
+            if not (abs(s - 1.0) <= 1e-9 and min(self.initial.values()) >= 0):
+                raise ValueError(f"initial distribution sums to {s} or has a negative entry")
 
     def initial_prob(self, state: str) -> float:
         if self.initial is None:

@@ -64,11 +64,10 @@ def program_to_index(program: str) -> int:
 
 
 def programs(max_len: int, min_len: int = 0):
-    """Yield all programs with min_len <= length <= max_len, shortlex order,
-    as int tuples (convert with machine.to_str when needed); none when
-    max_len < min_len."""
+    """Yield all programs with min_len <= length <= max_len as text, in
+    shortlex order; none when max_len < min_len."""
     for length in range(min_len, max_len + 1):
-        yield from itertools.product((0, 1, 2), repeat=length)
+        yield from map("".join, itertools.product(machine.SYMBOLS, repeat=length))
 
 
 def steps_offered(total_steps: int, k: int) -> int:

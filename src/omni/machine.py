@@ -43,16 +43,17 @@ Run modes:
             (or, for a fixed program string, out of symbols) gives status
             'budget' with the partial output.
 
-One fetch-decode loop, _resume, runs everything.  It runs a tape from
-square 0 or from a suspended state and says why it stopped: the next fetch
-reads past the tape, HALT, a wrong or surplus output symbol, the budget, or
-a proven loop.  Exhaustive sweeps (prior's exact sums, complexity's
-searches and census) do not run each of the 3^L tape strings from square
-0.  _witnesses walks the tape tree depth first, and a node resumes its
-parent's suspended run on the squares its next fetch reads, so every
-prefix runs once.  A run that stops for any other reason than the tape's
-end kills the whole subtree, since every extension replays it; the deaths
-are proofs:
+One fetch-decode loop, _resume, runs everything, and it is the only code
+that reads a tape square; callers hand the machine program text.  It
+resumes a state, by default _START (square 0, register 0, anchor 0, nothing
+printed), and says why it stopped: the next fetch reads past the tape,
+HALT, a wrong or surplus output symbol, the budget, or a proven loop.
+Exhaustive sweeps (prior's exact sums, complexity's searches and census) do
+not run each of the 3^L tape strings from square 0.  _witnesses walks the
+tape tree depth first, and a node resumes its parent's suspended run on the
+squares its next fetch reads, so every prefix runs once.  A run that stops
+for any other reason than the tape's end kills the whole subtree, since
+every extension replays it; the deaths are proofs:
 
 * a wrong or surplus output symbol cannot be recovered (output never
   shrinks);
@@ -92,8 +93,9 @@ to the register, and the period's output k times, stored up to out_cap.
 It then resumes the remainder, under one period, which replays the start
 of a period in which the record never fired, so it runs step by step to the
 budget.  A run that prints past out_cap, in a step or a fast-forward, sets
-truncated and keeps what was stored (a READAUX that passed the cap fills
-it from the aux tape); it runs on with no cap, a T3C aux tape emptied and
+truncated and keeps what was stored: the loop stops at _BAD_OUTPUT with
+the first out_cap symbols printed in out, from an OUT or from a READAUX
+copy cut at the cap.  It runs on with no cap, a T3C aux tape emptied and
 a fresh list each resume, so it stores nothing more: no branch reads the
 output.  consumed is the highest square read: a period visits no new
 square, and ip only moves back at a taken LOOP, where the loop keeps the
@@ -213,13 +215,19 @@ def _sigma(p: str) -> str:
     return "".join(map(_SIGMA4.get, chunks, chunks))
 
 
-def _resume(tape, budget, cap, target=None, aux=None, state=None):
-    """Run a tape from square 0 or from a suspended state, pruned.
+_START = (0, 0, 0, (), 0, 0, None)  # square 0, register 0, nothing printed
+
+
+def _resume(tape, budget, cap, target=None, aux=None, state=_START):
+    """Run a tape from a state, _START or a suspended one, pruned; the only
+    code that reads a tape square.
 
     Output is checked as it grows: at most cap symbols, each agreeing with
     target when one is given.  aux switches on T3C semantics (',,' appends
     the whole aux tape).  A state's out is a tuple, which the runs resumed
-    from it share, or a list, which grows in place.
+    from it share, or a list, which grows in place.  At _BAD_OUTPUT with no
+    target, out holds the first cap symbols printed: a READAUX copy that
+    passes the cap is stored up to it.
 
     Returns (why, state): why the run stopped (_AT_END, _AT_HALT,
     _BAD_OUTPUT, _AT_BUDGET or _IN_LOOP) and the state it stopped in,
@@ -229,11 +237,7 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None):
     tape extended by more squares as a run of that tape from square 0.
     """
     n = len(tape)
-    if state is None:
-        ip = reg = anchor = steps = top = 0
-        out = ()
-    else:
-        ip, reg, anchor, out, steps, top, _ = state
+    ip, reg, anchor, out, steps, top, _ = state
     k = len(out)
     last_zero = 0
     seen = None  # the loop record; see the module docstring
@@ -284,6 +288,7 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None):
             if aux:
                 j = k + len(aux)
                 if j > cap or (target is not None and target[k:j] != aux):
+                    out += aux[: cap - k]  # what fits under the cap
                     return _BAD_OUTPUT, (ip, reg, anchor, out, steps, top, None)
                 out += aux
                 k = j
@@ -293,10 +298,10 @@ def _resume(tape, budget, cap, target=None, aux=None, state=None):
 
 
 def _witnesses(
-    max_len, budget, cap, target=None, aux=None, prefix=(), shortest=False, mode=FINITE
+    max_len, budget, cap, target=None, aux=None, prefix="", shortest=False, mode=FINITE
 ):
     """Walk the tape tree of the programs of length <= max_len that start
-    with prefix, an even number of squares, and yield (program, output)
+    with prefix, program text of even length, and yield (program, output)
     for each halt in lexicographic order.
 
     * FINITE: a node halts when its run reaches the end of its tape or runs
@@ -314,7 +319,7 @@ def _witnesses(
     the last is the shortlex-first.
     """
     finite = mode == FINITE
-    tape = list(prefix)
+    tape = to_ints(prefix)
     depth = len(tape)
     if depth > max_len:
         return
@@ -355,13 +360,15 @@ def run(
 ) -> RunResult:
     """Run a fixed program string.
 
-    pre: max_steps >= 1; aux is given exactly for variant T3C.  out_cap
-    keeps the first out_cap output symbols and sets truncated when the run
-    printed more.  A proven loop skips every whole period left in the
-    budget, and a DUAL program runs on the same loop from square 1 (see
-    the module docstring).
+    pre: max_steps >= 1, out_cap >= 0 when given, and aux is given
+    exactly for variant T3C.  out_cap keeps the first out_cap output
+    symbols and sets truncated when the run printed more.  A proven loop
+    skips every whole period left in the budget, and a DUAL program runs
+    on the same loop from square 1 (see the module docstring).
     """
     check_inputs(max_steps)
+    if out_cap is not None and out_cap < 0:
+        raise ValueError("out_cap must be >= 0")
     if mode not in (FINITE, LAZY):
         raise ValueError(f"unknown mode: {mode!r}")
     if variant not in (T3, T3C, DUAL):
@@ -373,7 +380,7 @@ def run(
         raise ValueError(f"variant {variant} takes no aux tape")
     hosted = variant == DUAL and program != ""  # a selector, then the T3 tape it hosts
     tape = to_ints("1" + _sigma(program[1:]) if hosted and program[0] == "1" else program)
-    if hosted and tape[0] == 2:  # ',' selector: halt with empty output
+    if hosted and program[0] == ",":  # ',' selector: halt with empty output
         return RunResult(program, "", HALTED, 1, 1)
     aux_ints = to_ints(aux) if aux is not None else None
     cap = _NO_CAP if out_cap is None else out_cap
@@ -399,10 +406,7 @@ def run(
                 out += seg[:part]
                 if room < printed:
                     why = _BAD_OUTPUT
-        elif why == _BAD_OUTPUT:
-            if tape[ip - 2] == tape[ip - 1] == 2:  # a READAUX that passed the cap
-                out += aux_ints[: cap - len(out)]
-        else:
+        elif why != _BAD_OUTPUT:
             break
         if why == _BAD_OUTPUT:  # store nothing more: no cap, and READAUX prints nothing
             kept, cap, aux_ints = out, _NO_CAP, aux_ints and ()

@@ -389,8 +389,7 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
     """
     out_bad: list[str] = []
     checked = 0
-    for prog in programs(max_len):
-        p = to_str(prog)
+    for p in programs(max_len):
         base = run(p, budget)
         hosted = run("0" + p, budget + 1, variant=DUAL)
         checked += 1

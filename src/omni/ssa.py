@@ -18,8 +18,7 @@ sum of probabilities exceeds r, or the last action when none does.  The
 running sums are cached, one row per state, and rebuilt whenever an edit
 or a rollback writes the vector, so a draw is one bisection.  The row is
 `itertools.accumulate` of the vector, the same left-to-right additions a
-scan makes, so traces are byte-identical to those of the scanning sampler
-of earlier versions.
+scan makes.
 """
 
 from __future__ import annotations
@@ -121,7 +120,7 @@ class StackEntry:
     s: int  # step count when opened
     reward_at: float  # cumulative reward at that point
     modifications: list[tuple[str, list[float]]] = field(default_factory=list)
-    e: int | None = None  # step count when closed, None while open
+    e: int | None = None  # step count when closed, None while open (run_learner sets none)
 
 
 def ssc_holds(t: int, reward_t: float, checkpoints: list[tuple[int, float]]) -> bool:
@@ -294,8 +293,6 @@ def run_learner(
         else:
             # a begin, or the end of the open checkpoint: close it and
             # judge the story
-            if opened is not None:
-                opened.e = t
             n = ssc_evaluate(stack, t, total, policy)
             if n:
                 pops += n
@@ -310,8 +307,6 @@ def run_learner(
                 events.append("end")
 
     if learn:
-        if opened is not None:
-            opened.e = total_steps
         pops += ssc_evaluate(stack, total_steps, total, policy)
         events.append("final")
 

@@ -121,10 +121,6 @@ def test_run_output_under_the_limit_is_kept(capsys):
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "0"],
         ["kraft", "--max-len", "0", "--budget", "0"],
         ["kraft", "--max-len", "4", "--budget", "0"],
-        ["kraft", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
-        ["kraft", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
-        ["prior-exact", "--target", "0", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
-        ["prior-exact", "--target", "0", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "10", "--workers", "0"],
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "10", "--workers", "-1"],
         ["prior", "--target", "0", "--samples", "10", "--budget", "50", "--workers", "0"],
@@ -134,16 +130,24 @@ def test_run_output_under_the_limit_is_kept(capsys):
     ],
 )
 def test_bad_target_or_budget_exits_2(capsys, argv):
-    # the rules machine.run applies: budget >= 1, targets over "01,"; the
-    # canonical sweeps also have no T3C form (its aux tape is not a program);
-    # a fan-out needs at least one worker
+    # the rules machine.run applies: budget >= 1, targets over "01,"; a
+    # fan-out needs at least one worker
     assert run_cli(capsys, *argv) == (2, "")
 
 
 def test_usage_error_exits_1(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["run"])  # --program missing
-    assert exc.value.code == 1
+    # --program missing, and t3c, which has no canonical programs, is no
+    # --variant choice of kraft or prior-exact
+    for argv in [
+        ["run"],
+        ["kraft", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
+        ["kraft", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
+        ["prior-exact", "--target", "0", "--max-len", "0", "--budget", "10", "--variant", "t3c"],
+        ["prior-exact", "--target", "0", "--max-len", "4", "--budget", "10", "--variant", "t3c"],
+    ]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1, argv
     with pytest.raises(SystemExit) as exc:
         cli.main(["no-such-command"])
     assert exc.value.code == 1

@@ -49,6 +49,20 @@ def test_validate_rejects_bad_rows():
         NoiseModel(["a"], {("a", "a"): 1.0}, initial={"a": 0.5, "z": 0.5}).validate()
 
 
+def test_validate_rejects_nan_and_negative_mass():
+    # NaN compares false both ways, so only tests written as "not ok" catch it
+    nan = float("nan")
+    with pytest.raises(ValueError):
+        NoiseModel(["a", "b"], {("a", "a"): nan, ("a", "b"): 0.5, ("b", "a"): 1.0}).validate()
+    nan_start = NoiseModel(["a"], {("a", "a"): 1.0}, initial={"a": nan})
+    with pytest.raises(ValueError):
+        shannon_code_length(["a"], nan_start)
+    # a sum of 1 does not make a distribution
+    flip = {("a", "b"): 1.0, ("b", "a"): 1.0}
+    with pytest.raises(ValueError):
+        NoiseModel(["a", "b"], flip, initial={"a": 1.5, "b": -0.5}).validate()
+
+
 def test_shannon_length_frozen():
     model = _self_loop_model(0.9)
     bits = shannon_code_length(["0"] * 100, model)

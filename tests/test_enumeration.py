@@ -45,7 +45,7 @@ def test_bijection_roundtrip_program(p):
 
 
 def test_index_to_program_matches_programs_up_to_nine_symbols():
-    listed = [machine.to_str(p) for p in programs(9)]
+    listed = list(programs(9))
     assert len(listed) == (3**10 - 1) // 2
     assert [index_to_program(k) for k in range(1, len(listed) + 1)] == listed
 
@@ -77,14 +77,14 @@ def test_index_to_program_rejects_non_positive(k):
 
 
 def test_programs_generator_matches_bijection():
-    gen = [machine.to_str(p) for p in programs(3)]
+    gen = list(programs(3))
     assert gen == [index_to_program(k) for k in range(1, len(gen) + 1)]
     assert len(gen) == (3**4 - 1) // 2
 
 
 def test_programs_below_min_len_are_none():
     assert list(programs(-1)) == list(programs(1, min_len=2)) == []
-    assert list(programs(0)) == [()]
+    assert list(programs(0)) == [""]
     assert len(list(programs(2, min_len=2))) == 9
 
 

@@ -159,3 +159,32 @@ def test_one_fetch_decode_loop():
         for name in _decoders(path)
     ]
     assert decoders == ["machine.py:_resume"]
+
+
+def _tape_reads(path):
+    """(line, function) for each read of a square, tape[...] in Load
+    context, in the module's functions."""
+    tree = ast.parse(path.read_text(), str(path))
+    return [
+        (n.lineno, f.name)
+        for f in ast.walk(tree)
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Subscript)
+        and isinstance(n.ctx, ast.Load)
+        and isinstance(n.value, ast.Name)
+        and n.value.id == "tape"
+    ]
+
+
+def test_only_the_loop_reads_a_tape_square():
+    # callers hand the machine text, and only machine._resume reads what a
+    # square holds: a read anywhere else decodes behind the loop's back in
+    # a form the fetch pattern above does not match
+    reads = [
+        (path.name, line, name)
+        for path in sorted((ROOT / "src" / "omni").glob("*.py"))
+        for line, name in _tape_reads(path)
+    ]
+    assert {(path, name) for path, _, name in reads} >= {("machine.py", "_resume")}
+    assert [f"{path}:{line}: {name}" for path, line, name in reads if name != "_resume"] == []

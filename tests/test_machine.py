@@ -136,6 +136,13 @@ def test_max_steps_validation():
         run("00", 0)
 
 
+def test_negative_out_cap_is_refused():
+    # a cap below 0 keeps nothing and would mark every run truncated
+    with pytest.raises(ValueError, match="out_cap"):
+        run("00,1", 10, out_cap=-1)
+    assert run("00,1", 10, out_cap=0).truncated
+
+
 @pytest.mark.parametrize("mode, variant", [("eager", T3), (LAZY, "bogus"), (LAZY, "DUAL")])
 def test_unknown_mode_or_variant_is_refused(mode, variant):
     with pytest.raises(ValueError, match="unknown"):
@@ -167,7 +174,7 @@ def test_resumed_run_equals_a_fresh_run(targeted, readaux, aux, out_cap):
     aux = tuple(aux) if readaux else None
     cap = 100 if out_cap is None else out_cap
     target = ((0, 2) * 50)[:cap] if targeted else None
-    for prog in programs(6):
+    for prog in map(machine.to_ints, programs(6)):
         want = machine._resume(prog, 40, cap, target, aux)
         for cut in range(len(prog)):
             got = machine._resume(prog[:cut], 40, cap, target, aux)
@@ -187,6 +194,12 @@ def _fed(source, budget, cap):
         tape += machine.to_ints(next(source))
         why, state = machine._resume(tape, budget, cap, state=state)
     return why, state, tape
+
+
+def test_walk_refuses_a_prefix_with_a_non_symbol():
+    # the walk takes its prefix as program text and converts it
+    with pytest.raises(ValueError, match="not a machine symbol"):
+        list(machine._witnesses(6, 10, 1, prefix="0x"))
 
 
 def test_drawn_tape_scripted_source():

@@ -20,7 +20,7 @@ from omni import complexity, machine, prior
 from omni.enumeration import programs
 from omni.machine import DUAL, FINITE, LAZY, T3, T3C
 
-ALL_UP_TO_6 = [machine.to_str(p) for p in programs(6)]
+ALL_UP_TO_6 = list(programs(6))
 BUDGETS = (1, 2, 5, 17, 60)
 AUX_TAPES = ("", "0", "1,0")
 INSTRUCTIONS = ["".join(pair) for pair in itertools.product(SYMBOLS, repeat=2)]
@@ -72,12 +72,20 @@ def test_fast_forwarded_runs_match_reference(budget, max_len):
     # run skips the rest of the budget in whole periods and steps through
     # the remainder; the budgets leave remainders of every size, 1,001 is
     # the budget compiler_prefix_check(6, 1000) gives its DUAL runs, and
-    # the caps bind before, during and (at 20,000) long after the skip
-    configs = ((T3, None), (T3C, "01"), (DUAL, None))
-    for p in map(machine.to_str, programs(max_len)):
-        for mode, (variant, aux) in itertools.product((FINITE, LAZY), configs):
+    # the caps bind before, during and (at 20,000) long after the skip; the
+    # five-symbol aux tape under caps 0-12 cuts a READAUX copy at each of
+    # its squares
+    usual = (None, 1, 2, 99, 4096)
+    configs = (
+        (T3, None, usual),
+        (T3C, "01", usual),
+        (T3C, "01,10", (None, *range(13))),
+        (DUAL, None, usual),
+    )
+    for p in programs(max_len):
+        for mode, (variant, aux, caps) in itertools.product((FINITE, LAZY), configs):
             reference = reference_run(p, budget, mode, variant, aux or "")
-            for cap, want in _fields_by_cap(reference, (None, 1, 2, 99, 4096)).items():
+            for cap, want in _fields_by_cap(reference, caps).items():
                 got = machine.run(p, budget, mode, variant, aux, cap)
                 assert _fields(got) == want, (p, budget, mode, variant, cap)
 
@@ -228,13 +236,12 @@ def test_first_witness_walk_from_a_prefix_resumes_each_subtree_afresh(prefix):
     # them would kill all but the first
     max_len = len(prefix) + 6
     first = first_witnesses_by_string(max_len, 300, prefix=prefix)
-    ints = machine.to_ints(prefix)
     targets = set(first) | {out + s for out in first for s in SYMBOLS}
     for target in sorted(targets):
         t = tuple(machine.to_ints(target))
         witness = None
         for witness, _ in machine._witnesses(
-            max_len, 300, len(t), t, prefix=ints, shortest=True
+            max_len, 300, len(t), t, prefix=prefix, shortest=True
         ):
             pass
         assert witness == first.get(target), target
