@@ -121,6 +121,10 @@ def test_run_output_under_the_limit_is_kept(capsys):
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "0"],
         ["kraft", "--max-len", "0", "--budget", "0"],
         ["kraft", "--max-len", "4", "--budget", "0"],
+        ["kraft", "--max-len", "2", "--budget", "0", "--variant", "dual"],
+        ["prior-exact", "--target", "0", "--max-len", "2", "--budget", "0"],
+        ["prior-exact", "--target", "0", "--max-len", "2", "--budget", "0", "--variant", "dual"],
+        ["prior-exact", "--target", "2", "--max-len", "2", "--budget", "10", "--variant", "dual"],
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "10", "--workers", "0"],
         ["census", "--n", "1", "--c", "1", "--max-len", "2", "--budget", "10", "--workers", "-1"],
         ["prior", "--target", "0", "--samples", "10", "--budget", "50", "--workers", "0"],
