@@ -126,12 +126,17 @@ def test_mc_tracks_enumeration():
 @given(st.integers(min_value=0, max_value=10**9))
 @settings(max_examples=40, deadline=None)
 def test_guess_runner_equals_sampled_reference(seed):
-    ints = prior._guess(prior._sample_key(123, seed), 40, 40)
-    fast = None if ints is None else machine.to_str(ints)
+    # the sampler scores sample seed against every string of up to two
+    # symbols and the reference's output: it hits that output when the
+    # reference halts, and nothing otherwise
     _, out, status, *_ = reference_run(
         max_steps=40, mode=machine.LAZY, source=trinary_source(123, seed)
     )
-    assert fast == (out if status == machine.HALTED else None)
+    want = out if status == machine.HALTED else None
+    short = {"".join(s) for n in range(3) for s in itertools.product("01,", repeat=n)}
+    batch = sorted(short | {out})
+    hits = prior._mc_chunk(batch, 40, 123, prior._head_table(batch, 40), (seed, seed + 1))
+    assert hits == [int(t == want) for t in batch]
 
 
 @pytest.mark.parametrize("workers", (1, 2))
@@ -151,9 +156,9 @@ def test_mc_stream_head_matches_exact_mass():
     n, L, B = 100_000, 10, 200
     hits = Counter()
     for i in range(n):
-        key = prior._sample_key(0, i)
+        key = prior.mix64(prior.sample_seed(0, i))
         squares, b = b"", 0
-        while len(squares) < L:  # blocks b = 1, 2, ..., as _guess reads them
+        while len(squares) < L:  # blocks b = 1, 2, ..., as _mc_chunk reads them
             b += 1
             squares += prior._block_symbols(prior.mix64(key + b * prior._MIX1))
         r = machine.run(machine.to_str(squares[:L]), B, machine.LAZY)

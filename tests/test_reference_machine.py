@@ -265,28 +265,57 @@ def test_census_matches_per_length_table(workers):
                 assert (rep.compressible, rep.total) == (k, 3**n), (budget, n, c)
 
 
+# every string of up to two symbols: a batch of targets that the outputs a
+# test expects are added to, so a sample scoring any of them shows
+SHORT = ["".join(s) for n in range(3) for s in itertools.product(SYMBOLS, repeat=n)]
+
+
+@functools.cache
+def _head(batch, budget):
+    return prior._head_table(list(batch), budget)
+
+
+def _scored(batch, budget, seed, index):
+    """The target in batch (a tuple) that Monte Carlo sample index scores,
+    or None: the sampler as estimate_prior_mc_batch runs it, head table
+    included."""
+    hits = prior._mc_chunk(list(batch), budget, seed, _head(batch, budget), (index, index + 1))
+    assert sum(hits) <= 1, hits
+    return batch[hits.index(1)] if 1 in hits else None
+
+
+def _batch(*outputs):
+    """SHORT and the outputs given, None left out, as a sorted tuple."""
+    return tuple(sorted(set(SHORT).union(outputs) - {None}))
+
+
 @pytest.mark.parametrize("budget", (7, 200))
 def test_guess_runner_matches_reference_on_seeded_samples(budget):
-    # the reference reads the same stream one slot at a time
+    # the reference reads the same stream one slot at a time; the batch
+    # holds every output it halts with, so a sample the sampler scores
+    # wrongly shows, and so does one it misses
+    halts = []
     for i in range(1500):
-        ints = prior._guess(prior._sample_key(77, i), budget, budget)
-        got = None if ints is None else machine.to_str(ints)
         _, out, status, *_ = reference_run(
             max_steps=budget, mode=LAZY, source=trinary_source(77, i)
         )
-        assert got == (out if status == machine.HALTED else None), (i, budget)
+        halts.append(out if status == machine.HALTED else None)
+    batch = _batch(*halts)
+    for i, want in enumerate(halts):
+        assert _scored(batch, budget, 77, i) == want, (i, budget)
 
 
 def _scripted_guess(monkeypatch, blocks, budget):
-    """(_guess, reference) outputs, None where a run does not halt, on a
+    """(sampler, reference) outputs, None where a run does not halt, on a
     stream of the given blocks and then ',' one square per block: the
-    reference reads the same symbols one at a time."""
+    reference reads the same symbols one at a time, and the sampler's
+    output is the target it scores in a batch that holds the reference's."""
     script = itertools.chain(map(machine.to_ints, blocks), itertools.repeat([2]))
     monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(next(script)))
-    ints = prior._guess(0, budget, budget)
     source = itertools.chain("".join(blocks), itertools.repeat(","))
     _, out, status, *_ = reference_run(max_steps=budget, mode=LAZY, source=source)
-    return None if ints is None else machine.to_str(ints), out if status == machine.HALTED else None
+    want = out if status == machine.HALTED else None
+    return _scored(_batch(want), budget, 0, 0), want
 
 
 def _cut(p, sizes):
@@ -300,9 +329,10 @@ def _cut(p, sizes):
 
 
 def test_guess_runner_matches_reference_across_scripted_blocks(monkeypatch):
-    # _guess appends the next block at each _AT_END, so no block boundary
-    # may show: not an empty block (a block can reject all 32 slots), not a
-    # one-symbol block, not a SKIPZ whose skipped pair straddles a boundary
+    # the sampler appends the next block at each _AT_END, so no block
+    # boundary may show: not an empty block (a block can reject all 32
+    # slots), not a one-symbol block, not a SKIPZ whose skipped pair
+    # straddles a boundary, not a first block too short for the head table
     assert prior._block_symbols(2**64 - 1) == b""
     # SKIPZ at register 0 skips the 00 split over ",0" | "0", then OUT1 HALT
     straddle = ["", "1", "", ",0", "0", "", "01", ",1"]
@@ -321,11 +351,27 @@ def test_guess_runner_matches_reference_on_a_three_block_sample(monkeypatch):
     monkeypatch.setattr(
         prior, "_block_symbols", lambda block: blocks.append(block) or block_symbols(block)
     )
-    ints = prior._guess(prior._sample_key(0, 15468), 200, 2)
+    got = _scored(_batch(), 200, 0, 15468)
     _, out, status, *_ = reference_run(max_steps=200, mode=LAZY, source=trinary_source(0, 15468))
     assert (status, out) == (machine.HALTED, ",1")
-    assert machine.to_str(ints) == out
+    assert got == out
     assert len(blocks) == 3
+
+
+@pytest.mark.parametrize(
+    "blocks, want",
+    [
+        (["00,1"], "0"),  # OUT0 HALT on four squares, fewer than a key
+        (["1,0", "00", "001,1"], "01"),  # SKIPZ over a split pair, OUT0 OUT1 HALT
+        (["10,,1", "1,0"], None),  # INC MARK DEC LOOP at 0, then MARK to the budget
+    ],
+)
+def test_guess_runner_matches_reference_on_a_short_first_block(monkeypatch, blocks, want):
+    # block 1 holds fewer squares than the head table's keys, so the run
+    # starts from square 0 and meets the table's depth only in a later block
+    assert len(blocks[0]) < machine._HEAD_DEPTH
+    for budget in (7, 200):
+        assert _scripted_guess(monkeypatch, blocks, budget) == (want, want), budget
 
 
 MC_BATCHES = ([], [""], ["0", "00", "000"], ["", "0", "1,"], [",", "0,", "1,0", "0000"])
@@ -346,9 +392,62 @@ def test_mc_scorer_matches_reference_on_seeded_samples(budget):
     common = [out for out, _ in halts.most_common(4)]
     for targets in MC_BATCHES + (common,):
         want = [halts[t] for t in targets]
-        assert prior._mc_chunk(targets, budget, 31, (0, n)) == want, targets
-        parts = [prior._mc_chunk(targets, budget, 31, b) for b in ((0, 700), (700, n))]
+        head = prior._head_table(targets, budget)
+        assert prior._mc_chunk(targets, budget, 31, head, (0, n)) == want, targets
+        parts = [prior._mc_chunk(targets, budget, 31, head, b) for b in ((0, 700), (700, n))]
         assert [a + b for a, b in zip(*parts)] == want, targets
+
+
+@pytest.mark.parametrize("budget", (1, 7, 200))
+def test_walk_frontier_matches_reference_tapes(budget):
+    # the LAZY walk's halts and frontier against every tape of L squares
+    # run alone: a tape reaches its end exactly when a frontier program is
+    # a prefix of it, with that program's output, and the halts and the
+    # frontier together carry the mass of the tapes that halt or reach
+    # their end
+    for max_len in range(9):
+        frontier = []
+        halts = list(machine._witnesses(max_len, budget, budget, mode=LAZY, frontier=frontier))
+        printed = {p: machine.to_str(state[3]) for p, state in frontier}
+        decided = 0
+        for symbols in itertools.product(SYMBOLS, repeat=max_len):
+            tape = "".join(symbols)
+            _, out, status, _, steps, _ = reference_run(tape, budget, LAZY)
+            at_end = status == machine.BUDGET and steps < budget
+            entries = [tape[:j] for j in range(max_len + 1) if tape[:j] in printed]
+            assert len(entries) == at_end, (tape, budget)
+            if at_end:
+                assert printed[entries[0]] == out, (tape, budget)
+            decided += at_end or status == machine.HALTED
+        mass = sum(3 ** (max_len - len(p)) for p, _ in halts + frontier)
+        assert mass == decided, (max_len, budget)
+
+
+@pytest.mark.parametrize("budget", (1, 7, 200))
+def test_head_table_matches_each_tape_run_alone(budget):
+    # every 8-square tape run alone from _START against its entry in the
+    # head table: a slot halts printing that target, a state is where the
+    # run waits at the tape's end, and a missing key cannot score
+    for targets in MC_BATCHES:
+        head = prior._head_table(targets, budget)
+        goals = [tuple(machine.to_ints(t)) for t in targets]
+        cap = max(map(len, goals), default=0)
+        for symbols in itertools.product((0, 1, 2), repeat=machine._HEAD_DEPTH):
+            tape = bytes(symbols)
+            why, state = machine._resume(tape, budget, cap)
+            verdict = head.get(tape)
+            case = (targets, budget, machine.to_str(tape))
+            if isinstance(verdict, int):
+                assert (why, state[3]) == (machine._AT_HALT, goals[verdict]), case
+            elif verdict is not None:
+                assert (why, state) == (machine._AT_END, verdict), case
+                assert any(g[: len(state[3])] == state[3] for g in goals), case
+            elif why is machine._AT_HALT:
+                assert state[3] not in goals, case
+            elif why is machine._AT_END:
+                assert all(g[: len(state[3])] != state[3] for g in goals), case
+            else:
+                assert why in (machine._BAD_OUTPUT, machine._IN_LOOP, machine._AT_BUDGET), case
 
 
 def _check_searchers_on_bodies(prefix, budget=300):
@@ -402,6 +501,12 @@ def test_pruned_searchers_match_reference_after_the_register_returns_to_zero():
     # and met again with a higher register proves nothing, since a zero
     # test there branched the other way
     _check_searchers_on_bodies("10" * 8 + "11" * 8 + ",,")
+
+
+# budget checks of the head table's walk for the targets "0" and "00" at a
+# budget of 10^6: every run on a tape of up to 8 squares, cut at its third
+# symbol (cap 2), at the tape's end, at a HALT or on a proven loop
+WALK_CHECKS = 8330
 
 
 class _StepLimit(int):
@@ -525,11 +630,32 @@ def test_pruned_searchers_abandon_a_printing_loop():
 
 def test_mc_scorer_abandons_a_guess_past_the_longest_target(monkeypatch):
     # every tape is OUT0 forever, which no loop record sees: each guess must
-    # die at its third symbol, the first past the longest target
+    # die at its third symbol, the first past the longest target.  The head
+    # table's walk runs every tape of up to 8 squares with that cap, and it
+    # kills the all-OUT0 one there, so the samples' own runs take no step
     monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(62))
-    budget = _StepLimit(10**6, limit=3 * 5)
-    assert prior._mc_chunk(["0", "00"], budget, 0, (0, 5)) == [0, 0]
-    assert budget.checks == 3 * 5
+    budget = _StepLimit(10**6, limit=WALK_CHECKS)
+    head = prior._head_table(["0", "00"], budget)
+    assert budget.checks == WALK_CHECKS
+    budget = _StepLimit(10**6, limit=0)
+    assert prior._mc_chunk(["0", "00"], budget, 0, head, (0, 5)) == [0, 0]
+    assert budget.checks == 0
+
+
+def test_mc_scorer_abandons_a_guess_its_head_left_live(monkeypatch):
+    # MARK INC OUT0 OUT0 fills the first 8 squares and waits at their end
+    # having printed "00", so each sample resumes the table's state; then
+    # OUT0 forever, which no loop record sees: the resume must stop at its
+    # first check, on the third symbol
+    tape = bytes(machine.to_ints(",,100000")) + bytes(54)
+    monkeypatch.setattr(prior, "_block_symbols", lambda block: tape)
+    budget = _StepLimit(10**6, limit=WALK_CHECKS)
+    head = prior._head_table(["0", "00"], budget)
+    assert budget.checks == WALK_CHECKS
+    assert head[tape[:8]][:5] == (8, 1, 2, (0, 0), 4)
+    budget = _StepLimit(10**6, limit=1 * 5)
+    assert prior._mc_chunk(["0", "00"], budget, 0, head, (0, 5)) == [0, 0]
+    assert budget.checks == 1 * 5
 
 
 def test_canonical_walk_abandons_printing_loops():
