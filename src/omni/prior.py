@@ -6,31 +6,31 @@ fraction of runs that halt within the budget and print the target estimates
 its prior mass from below (runs that would need more steps count as misses).
 Sample i reads a counter-based splitmix64 stream keyed by (seed, i): block
 b is a pure function of the key and b, so no generator is built per sample
-and no sample depends on another.  Each guess runs on the walk's pruned
-loop, machine._resume, on a tape that starts as block 1 and gains the next
-block each time the run reaches its end.  It dies at its first output
-symbol past the longest target, at the budget, or on a proven cycle or
+and no sample depends on another.  That holds however the stream is
+computed: _first_blocks mixes block 1 of a whole batch of samples at once,
+a 64-bit lane each in one int.  Each guess runs on the walk's pruned loop,
+machine._resume, on a tape that starts as block 1 and gains the next block
+each time the run reaches its end.  It dies at its first output symbol
+past the longest target, at the budget, or on a proven cycle or
 divergence: such a run cannot score, and every sample reads its own
 stream, so stopping one early changes no hit.
 
-Most samples are decided by their first 8 squares (machine._HEAD_DEPTH).
-Each call builds one head table (_head_table) from one lazy walk of every
-tape of 8 squares, with the call's budget and cap: a head whose run halts
-printing a target gives the target's slot, one whose run waits at the
-tape's end having printed a prefix of a target gives that suspended state,
-and any other head is missing, since its run halted printing a
-non-target, printed past the cap or off every target, was proven to loop
-or ran out of budget, and output never shrinks.  A run on a fixed tape is
-a function of the tape, so each entry is the verdict of every tape that
-starts with its head, and the hits are those of running every guess from
-square 0.  For three targets of up to two symbols at B = 200 the lookup
-decides 61-71% of samples, and the rest resume the stored state instead
-of square 0.  The table costs about 10 ms per call (8-18 ms on a 2-core
-host with Python 3.11) and saves about 1 us per sample there (0.7-1.6 us
-over repeated runs), so a call of fewer than about 10,000 samples pays
-more to build it than it saves: whole calls crossed over between 8,000 and
-16,000 samples.
-machine._HEAD_DEPTH says why 8 squares and not 6 or 10.
+Most samples are decided by their first 8 squares (machine._HEAD_DEPTH says
+why 8).  Each call builds one head table (_head_table) from one lazy walk
+of every tape of 8 squares, with the call's budget and cap: a head whose
+run halts printing a target gives the target's slot, one whose run waits
+at the tape's end having printed a prefix of a target gives that
+suspended state, and any other head is missing, since its run halted
+printing a non-target, printed past the cap or off every target, was
+proven to loop or ran out of budget, and output never shrinks.  A run on a
+fixed tape is a function of the tape, so each entry is the verdict of
+every tape that starts with its head, and the hits are those of running
+every guess from square 0.  The table costs 8-18 ms per call and saves
+about 1 us per sample, so whole calls cross over between 8,000 and 16,000
+samples.  For three targets of up to two symbols at B = 200 the lookup
+decides 61-71% of samples, and a sample costs about 0.9-1.3 us of stream
+(block 1 and its decoding; 2.0-3.4 us with two finalizers per sample),
+0.2-0.3 us of lookup and 0.8-1.0 us of resume (2-core host, Python 3.11).
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target, in one tape-tree walk (_walk) that
@@ -44,6 +44,9 @@ sampling noise plus the mass the enumeration truncates away.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -59,6 +62,12 @@ _MIX2 = 0xBF58476D1CE4E5B9
 _MIX3 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 _RNG = "splitmix64"  # the sample stream, named in every Monte Carlo report
+
+# Samples whose block 1 _first_blocks mixes in one int, a word of 64 KB.
+# Over 150,000 samples (2-core host, Python 3.11) mixing costs 0.18-0.21 us
+# per sample at 4,096, 0.19-0.24 from 256 to 16,384 and 0.24-0.43 at 64 and
+# 65,536: small batches repeat the per-batch work, large ones outgrow cache.
+_BATCH = 4096
 
 
 def sample_seed(seed: int, index: int) -> int:
@@ -161,6 +170,32 @@ def _head_table(targets, budget):
     return table
 
 
+def _first_blocks(seed, lo, hi):
+    """Yield block 1, mix64(mix64(sample_seed(seed, i)) + gamma), of samples
+    i = lo..hi-1, up to _BATCH at a time in one int: sample start + j holds
+    sample_seed(seed, start) + j * _MIX2 mod 2^64 in the lane at bit 128 j,
+    masked to 64 bits before each multiply, so each product stays in its
+    lane."""
+    ones, index, n = 1, 0, 1  # lane j of ones holds 1, lane j of index j
+    while n < min(_BATCH, hi - lo):
+        index |= (index + n * ones) << 128 * n
+        ones |= ones << 128 * n
+        n *= 2
+    mask = ones * _U64
+    step, gamma = index * _MIX2 & mask, ones * _MIX1
+    for start in range(lo, hi, n):
+        z = sample_seed(seed, start) * ones + step
+        for add in (0, gamma):
+            z = (z + add) & mask
+            z = ((z ^ z >> 30) & mask) * _MIX2 & mask
+            z = ((z ^ z >> 27) & mask) * _MIX3 & mask
+            z ^= z >> 31
+        lanes = array("Q", z.to_bytes(16 * n, "little"))
+        if sys.byteorder == "big":
+            lanes.byteswap()
+        yield from lanes[: 2 * (hi - start) : 2]  # the low halves of the lanes
+
+
 def _mc_chunk(targets, budget, seed, head, bounds):
     """Hits per target among samples lo..hi-1 (targets distinct; head is
     their _head_table).
@@ -168,26 +203,27 @@ def _mc_chunk(targets, budget, seed, head, bounds):
     Sample i is a lazy machine run whose tape squares are the uniform
     symbols of the stream keyed mix64(sample_seed(seed, i)): block b =
     mix64(key + b * gamma mod 2^64), b >= 1, is output b of splitmix64
-    started at key.  The tape starts as block 1, and machine._resume
-    decides the run from its first squares by head or resumes the state
-    head gives.  Each time the run reaches the tape's end the next block is
-    appended and the run resumed.
+    started at key.  Block 1 comes from _first_blocks, which mixes it for
+    a whole batch of samples at once; later blocks, which few samples
+    read, are mixed one at a time.  The tape starts as block 1, and
+    machine._resume decides the run from its first squares by head or
+    resumes the state head gives.  Each time the run reaches the tape's
+    end the next block is appended and the run resumed.
     """
     lo, hi = bounds
     slot_of = {tuple(machine.to_ints(t)): s for s, t in enumerate(targets)}
     hits = [0] * len(targets)
     cap = max(map(len, targets), default=0)
     resume, by_head, at_end = machine._resume, machine._BY_HEAD, machine._AT_END
-    z = sample_seed(seed, lo - 1)  # sample_seed(seed, i) gains _MIX2 per index
-    for _ in range(lo, hi):
-        z = (z + _MIX2) & _U64
-        block = mix64(z) + _MIX1
-        tape = _block_symbols(mix64(block))
+    for i, first in enumerate(_first_blocks(seed, lo, hi), lo):
+        tape = _block_symbols(first)
         why, state = resume(tape, budget, cap, head=head)
         if why is by_head:  # state is the head's verdict: a slot, or None
             if state is not None:
                 hits[state] += 1
             continue
+        if why is at_end:
+            block = mix64(sample_seed(seed, i)) + _MIX1
         while why is at_end:
             block += _MIX1
             tape += _block_symbols(mix64(block))
@@ -213,12 +249,15 @@ def estimate_prior_mc_batch(
         raise ValueError("samples must be >= 1")
     machine.check_inputs(budget, *targets)
     uniq = list(dict.fromkeys(targets))
-    # about four chunks per worker, so the workers finish together (a
-    # worker count below 1 is parallel_map's to refuse)
-    chunk = min(50_000, -(-samples // (4 * max(workers, 1))))
+    # about four chunks for each process parallel_map starts (at most one
+    # per CPU; a worker count below 1 is its to refuse), each process's as
+    # one task, so the partial holding the head table is pickled once each
+    procs = max(1, min(workers, len(os.sched_getaffinity(0))))
+    chunk = min(50_000, -(-samples // (4 * procs)))
     bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
     head = _head_table(uniq, budget)
-    parts = parallel_map(partial(_mc_chunk, uniq, budget, seed, head), bounds, workers)
+    fn = partial(_mc_chunk, uniq, budget, seed, head)
+    parts = parallel_map(fn, bounds, workers, chunksize=-(-len(bounds) // procs))
     totals = [sum(col) for col in zip(*parts)]
     result = {}
     for t, hits in zip(uniq, totals):

@@ -71,18 +71,24 @@ def splitmix64_finalizer(z):
     return z ^ (z >> 31)
 
 
-def trinary_source(seed, index):
-    """Uniform symbols of Monte Carlo sample `index` under master `seed`,
-    read slot by slot: the sample's key is the finalizer of its seed
-    (seed * GAMMA + (index + 1) * 0xBF58476D1CE4E5B9 mod 2^64), and its
-    block b = 1, 2, ... is the finalizer of key + b * GAMMA mod 2^64, read
-    as 32 slots.  Yields '0', '1', ','."""
+def stream_block(seed, index, b):
+    """Block b = 1, 2, ... of Monte Carlo sample `index` under master
+    `seed`: the sample's key is the finalizer of its seed (seed * GAMMA +
+    (index + 1) * 0xBF58476D1CE4E5B9 mod 2^64), and block b is the
+    finalizer of key + b * GAMMA mod 2^64."""
     sample = (seed * GAMMA + (index + 1) * 0xBF58476D1CE4E5B9) % WORD
     key = splitmix64_finalizer(sample)
+    return splitmix64_finalizer((key + b * GAMMA) % WORD)
+
+
+def trinary_source(seed, index):
+    """Uniform symbols of Monte Carlo sample `index` under master `seed`,
+    read slot by slot: each block of its stream (stream_block) read as 32
+    slots.  Yields '0', '1', ','."""
     b = 0
     while True:
         b += 1
-        block = splitmix64_finalizer((key + b * GAMMA) % WORD)
+        block = stream_block(seed, index, b)
         for v in slot_symbols(block, 32):
             yield SYMBOLS[v]
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import os
 import random
 from collections import Counter
 from fractions import Fraction
@@ -145,6 +146,52 @@ def test_mc_hits_frozen(workers):
     # tolerance is too wide to notice either changing
     est = estimate_prior_mc_batch(["", "0", "1,"], 20_000, 200, seed=5, workers=workers)
     assert [est[t].hits for t in ("", "0", "1,")] == [4937, 1181, 257]
+
+
+def test_mc_chunk_splits_across_batch_edges():
+    # a range over two batch edges scores as its two halves, cut inside a
+    # batch, and as its samples one at a time, which mix no batch
+    n = prior._BATCH
+    targets = ["", "0", "1,"]
+    head = prior._head_table(targets, 200)
+    lo, cut, hi = n - 3, n + 1000, 2 * n + 5
+    whole = prior._mc_chunk(targets, 200, 3, head, (lo, hi))
+    halves = [prior._mc_chunk(targets, 200, 3, head, b) for b in ((lo, cut), (cut, hi))]
+    assert whole == [a + b for a, b in zip(*halves)]
+    singles = [prior._mc_chunk(targets, 200, 3, head, (i, i + 1)) for i in range(lo, hi)]
+    assert whole == [sum(col) for col in zip(*singles)]
+
+
+def test_mc_worker_invariant_past_two_batches():
+    samples = 2 * prior._BATCH + 1
+    hits = [
+        [e.hits for e in estimate_prior_mc_batch(["", "0", "1,"], samples, 200, 8, w).values()]
+        for w in (1, 2)
+    ]
+    assert hits[0] == hits[1]
+
+
+class _CountedTable(dict):
+    """A head table that counts the times it is pickled."""
+
+    pickles = 0
+
+    def __reduce__(self):
+        _CountedTable.pickles += 1
+        return dict, (dict(self),)
+
+
+def test_mc_head_table_pickled_once_per_process(monkeypatch):
+    # the pool gets each process's chunks as one task, so the partial that
+    # holds the table is pickled once per process, not once per chunk
+    build = prior._head_table
+    monkeypatch.setattr(prior, "_head_table", lambda *args: _CountedTable(build(*args)))
+    for workers in (1, 2, 3):
+        _CountedTable.pickles = 0
+        est = estimate_prior_mc_batch(["", "0", "1,"], 20_000, 200, seed=5, workers=workers)
+        assert [est[t].hits for t in ("", "0", "1,")] == [4937, 1181, 257]
+        procs = min(workers, len(os.sched_getaffinity(0)))
+        assert _CountedTable.pickles == (procs if procs > 1 else 0), workers
 
 
 def test_mc_stream_head_matches_exact_mass():

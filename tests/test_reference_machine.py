@@ -13,6 +13,7 @@ from reference_machine import (
     decode_instruction,
     first_witnesses_by_string,
     reference_run,
+    stream_block,
     trinary_source,
 )
 
@@ -396,6 +397,18 @@ def test_mc_scorer_matches_reference_on_seeded_samples(budget):
         assert prior._mc_chunk(targets, budget, 31, head, (0, n)) == want, targets
         parts = [prior._mc_chunk(targets, budget, 31, head, b) for b in ((0, 700), (700, n))]
         assert [a + b for a, b in zip(*parts)] == want, targets
+
+
+@pytest.mark.parametrize("seed", (0, 77, 2**64 - 1, -1, 10**30))
+def test_packed_first_blocks_match_reference(seed):
+    # _first_blocks mixes block 1 of a batch of samples in one int, one
+    # 128-bit lane per sample: each lane must be the reference's block 1 of
+    # its sample, for one sample, across a batch edge, and over two full
+    # batches and a partial third
+    n = prior._BATCH
+    for lo, hi in ((0, 1), (n - 1, n + 1), (5, 2 * n + 7)):
+        want = [stream_block(seed, i, 1) for i in range(lo, hi)]
+        assert list(prior._first_blocks(seed, lo, hi)) == want, (lo, hi)
 
 
 @pytest.mark.parametrize("budget", (1, 7, 200))
