@@ -54,7 +54,7 @@ from itertools import product
 
 from . import machine
 from .enumeration import programs
-from .machine import DUAL, HALTED, LAZY, T3, run, to_str
+from .machine import DUAL, LAZY, T3, run, to_str
 from .workers import parallel_map
 
 _MIX1 = 0x9E3779B97F4A7C15  # splitmix64's increment (the golden gamma)
@@ -249,15 +249,14 @@ def estimate_prior_mc_batch(
         raise ValueError("samples must be >= 1")
     machine.check_inputs(budget, *targets)
     uniq = list(dict.fromkeys(targets))
-    # about four chunks for each process parallel_map starts (at most one
-    # per CPU; a worker count below 1 is its to refuse), each process's as
-    # one task, so the partial holding the head table is pickled once each
-    procs = max(1, min(workers, len(os.sched_getaffinity(0))))
-    chunk = min(50_000, -(-samples // (4 * procs)))
-    bounds = [(lo, min(lo + chunk, samples)) for lo in range(0, samples, chunk)]
+    # one contiguous range of samples for each process parallel_map starts
+    # (at most one per CPU; a worker count below 1 is its to refuse), so
+    # the partial holding the head table is pickled once per process
+    procs = max(1, min(workers, samples, len(os.sched_getaffinity(0))))
+    cuts = [samples * j // procs for j in range(procs + 1)]
     head = _head_table(uniq, budget)
     fn = partial(_mc_chunk, uniq, budget, seed, head)
-    parts = parallel_map(fn, bounds, workers, chunksize=-(-len(bounds) // procs))
+    parts = parallel_map(fn, list(zip(cuts, cuts[1:])), workers)
     totals = [sum(col) for col in zip(*parts)]
     result = {}
     for t, hits in zip(uniq, totals):
@@ -360,23 +359,6 @@ def kraft_sum(max_len: int, budget: int, variant: str = T3) -> KraftReport:
     return KraftReport(Fraction(weight, 3**top), count, max_len, budget)
 
 
-def canonicalize_witness(witness: str, budget: int) -> str | None:
-    """Shortest self-delimiting form of a witness found by the finite-mode
-    search: the witness itself if its lazy run already halts cleanly, its
-    consumed prefix if it halts early, else the witness with a HALT (or a
-    padding instruction plus HALT, when a pending skip would eat the HALT)
-    appended."""
-    r = run(witness, budget, LAZY)
-    if r.status == HALTED:
-        return witness[: r.consumed]
-    for suffix in (",1", ",,,1"):
-        cand = witness + suffix
-        r = run(cand, budget, LAZY)
-        if r.status == HALTED and r.consumed == len(cand):
-            return cand
-    return None
-
-
 @dataclass
 class GapEntry:
     target: str
@@ -418,10 +400,21 @@ class GapReport:
 
 
 def coding_theorem_gap(targets: list[str], max_len: int, budget: int) -> GapReport:
-    """Per target: gap = -log3(enumerated mass) - K_hat_canonical.
+    """Per target: gap = -log3(enumerated mass) - k_canonical, the length of
+    the shortest canonical form of the shortest finite witness w.
 
-    The canonicalized witness itself sits in the enumeration (its length is
-    covered by construction), so mass >= 3^-k and the gap cannot be
+    That form is w itself when w's lazy run halts, else w + ",1", so
+    k_canonical is k_hat or k_hat + 2.  Proof: each node of the finite walk
+    resumes by fetching its last pair, and at that first arrival any
+    instruction but OUT or a taken LOOP ends the run with its parent's
+    output, so the parent, a shorter witness, would have been found first.
+    So w's last pair is no SKIPZ that could jump past it, and w either runs
+    HALT having read that pair (consuming exactly |w| squares: canonical)
+    or stops at the tape's end with ip = |w| below the budget, where one
+    HALT makes it canonical.
+
+    The canonical form sits in the enumeration (its length is covered by
+    construction), so mass >= 3^-k_canonical and the gap cannot be
     positive; how negative it goes shows how much mass short programs share.
     """
     from .complexity import shortest_program_upper_bound
@@ -432,14 +425,10 @@ def coding_theorem_gap(targets: list[str], max_len: int, budget: int) -> GapRepo
         if bound.k_hat is None:
             entries.append(GapEntry(t, None, None, 0.0, None))
             continue
-        canon = canonicalize_witness(bound.witness, budget)
-        if canon is None:
-            entries.append(GapEntry(t, bound.k_hat, None, 0.0, None))
-            continue
-        level = max(max_len, len(canon))
-        est = enumerate_prior(t, level, budget)
-        gap = -math.log(est.exact, 3) - len(canon)
-        entries.append(GapEntry(t, bound.k_hat, len(canon), est.p_hat, gap))
+        k = bound.k_hat if run(bound.witness, budget, LAZY).halted else bound.k_hat + 2
+        est = enumerate_prior(t, max(max_len, k), budget)
+        gap = -math.log(est.exact, 3) - k
+        entries.append(GapEntry(t, bound.k_hat, k, est.p_hat, gap))
     return GapReport(entries, max_len, budget)
 
 
@@ -474,7 +463,12 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
     Output equality: DUAL on "0"+p matches T3 on p for every |p| <= max_len
     in finite mode (DUAL gets one extra step for the selector fetch).  Mass
     dominance: each target with T3 mass at max_len keeps at least a third of
-    it under DUAL at max_len+1, since "0"+p costs exactly one more symbol.
+    it under DUAL at max_len+1, since "0"+p costs exactly one more symbol,
+    once the budget leaves the selector its step.  This half gives DUAL the
+    same budget, so "0"+p runs p in budget - 1 steps, and a p that needs all
+    of them has no hosted twin: at budget 2 the targets ",", "0" and "1"
+    fail for max_len 4-7, at budget 3 nine of 13 targets fail for max_len
+    6-7, and from budget 4 none fails at max_len <= 7.
     """
     out_bad: list[str] = []
     checked = 0

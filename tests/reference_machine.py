@@ -5,7 +5,8 @@ an Instruction by name, and the output grows one symbol at a time.  It
 covers FINITE and LAZY mode, the T3, T3C and DUAL variants, the output cap,
 and lazy tapes fed square by square from a symbol source, plus the
 per-string definitions of the canonical programs and of the shortlex-first
-witness for each output, and the per-digit program at each shortlex index.
+witness for each output, the per-digit program at each shortlex index, and
+the canonical form of a witness found by trial runs.
 It shares no code with omni, so agreement between the two is evidence, not
 tautology.
 """
@@ -248,3 +249,20 @@ def first_witnesses_by_string(max_len, budget, aux=None, prefix=""):
             if status == "halted":
                 first.setdefault(output, program)
     return first
+
+
+def canonicalize_witness(witness, budget):
+    """Shortest self-delimiting form of a finite-mode witness, by trial:
+    the witness itself if its lazy run already halts cleanly, its consumed
+    prefix if it halts early, else the witness with a HALT (or a padding
+    instruction plus HALT, when a pending skip would eat the HALT) appended
+    and confirmed by a lazy run; None when no form is found."""
+    _, _, status, consumed, _, _ = reference_run(witness, budget, "lazy")
+    if status == "halted":
+        return witness[:consumed]
+    for suffix in (",1", ",,,1"):
+        candidate = witness + suffix
+        _, _, status, consumed, _, _ = reference_run(candidate, budget, "lazy")
+        if status == "halted" and consumed == len(candidate):
+            return candidate
+    return None

@@ -1,6 +1,9 @@
 import json
+import re
+import shlex
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from reference_machine import index_to_program
@@ -80,6 +83,8 @@ def test_run_variant_flags(capsys):
         capsys, "run", "--program", ",,", "--variant", "t3c", "--aux", "01"
     )
     assert payload["output"] == "01"
+    payload = run_json(capsys, "run", "--program", ",,00", "--variant", "t3c")
+    assert payload["output"] == "0"  # no --aux: an empty aux tape
     payload = run_json(capsys, "run", "--program", "101", "--variant", "dual")
     assert payload["output"] == "0"
     payload = run_json(
@@ -131,11 +136,15 @@ def test_run_output_under_the_limit_is_kept(capsys):
         ["prior", "--target", "0", "--samples", "10", "--budget", "50", "--workers", "-1"],
         ["dovetail", "--steps", "64", "--workers", "0"],
         ["dovetail", "--steps", "64", "--workers", "-1"],
+        ["ssa", "--period", "0", "--lifetime", "100"],
+        ["ssa", "--period", "50", "--lifetime", "0"],
+        ["dovetail", "--steps", "0"],
     ],
 )
 def test_bad_target_or_budget_exits_2(capsys, argv):
     # the rules machine.run applies: budget >= 1, targets over "01,"; a
-    # fan-out needs at least one worker
+    # fan-out needs at least one worker, a clock, period or lifetime at
+    # least one step
     assert run_cli(capsys, *argv) == (2, "")
 
 
@@ -404,3 +413,22 @@ def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
 )
 def test_empty_out_path_exits_2_with_nothing_on_stdout(capsys, argv):
     assert run_cli(capsys, *argv, "--out", "") == (2, "")
+
+
+def _readme_cli_examples():
+    """(argv, expected stdout) of each README sh block whose first line is
+    a "$ omni ..." command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+        command, _, out = block.partition("\n")
+        if command.startswith("$ omni "):
+            examples.append((shlex.split(command)[2:], out))
+    return examples
+
+
+def test_readme_cli_examples_print_what_they_show(capsys):
+    examples = _readme_cli_examples()
+    assert {"run", "kcomp"} <= {argv[0] for argv, _ in examples}
+    for argv, out in examples:
+        assert run_cli(capsys, *argv) == (0, out), argv

@@ -31,9 +31,13 @@ def test_fit_counts_bigrams():
     assert m.transition_prob("a", "b") == pytest.approx(0.5)
     assert m.transition_prob("b", "a") == pytest.approx(1.0)
     m.validate()
+    with pytest.raises(ValueError):
+        fit_noise_model([])
 
 
 def test_validate_rejects_bad_rows():
+    with pytest.raises(ValueError):
+        NoiseModel([], {}).validate()
     with pytest.raises(ValueError):
         NoiseModel(["a"], {("a", "a"): 0.5}).validate()
     with pytest.raises(ValueError):
@@ -84,6 +88,13 @@ def test_zero_probability_error_names_the_step():
     assert "'0' -> '1'" in str(exc.value)
     with pytest.raises(ZeroProbabilityError):
         arithmetic_roundtrip(["0", "1"], model)
+    # a state the initial distribution rules out fails at step 0
+    start_a = NoiseModel(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 1.0}, initial={"a": 1.0, "b": 0.0})
+    for code in (shannon_code_length, arithmetic_roundtrip):
+        with pytest.raises(ZeroProbabilityError) as exc:
+            code(["b", "a"], start_a)
+        assert (exc.value.step, exc.value.prev, exc.value.nxt) == (0, None, "b"), code
+        assert "initial state at step 0" in str(exc.value)
 
 
 def test_roundtrip_frozen_sequence():

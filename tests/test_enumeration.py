@@ -113,7 +113,7 @@ def test_steps_offered_counts_owners(n):
     for t in range(1, n + 1):
         k = _owner_by_definition(t)
         counts[k] = counts.get(k, 0) + 1
-    for k in range(1, 16):
+    for k in range(-1, 16):  # no step goes to an index below 1
         assert steps_offered(n, k) == counts.get(k, 0)
     assert sum(counts.values()) == n
 

@@ -8,12 +8,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_machine import reference_run, slot_symbols, trinary_source
+from reference_machine import canonicalize_witness, reference_run, slot_symbols, trinary_source
 
-from omni import machine, prior
+from omni import complexity, machine, prior
 from omni.prior import (
     canonical_programs,
-    canonicalize_witness,
     coding_theorem_gap,
     compiler_prefix_check,
     enumerate_prior,
@@ -68,25 +67,18 @@ def test_enumerate_prior_frozen():
     assert enumerate_prior("0", 2, 100).exact == 0
 
 
+def test_canonical_programs_refuse_t3c():
+    # only the T3 and DUAL walks define canonical programs
+    with pytest.raises(ValueError):
+        list(canonical_programs(3, 10, machine.T3C))
+
+
 def test_canonical_set_is_prefix_free_small():
     progs = [p for p, _ in canonical_programs(5, 500)]
     seen = set(progs)
     for p in progs:
         for cut in range(len(p)):
             assert p[:cut] not in seen
-
-
-def test_canonicalize_witness_cases():
-    assert canonicalize_witness("", 100) == ",1"
-    assert canonicalize_witness("00", 100) == "00,1"
-    # halting early canonicalizes to the consumed prefix
-    assert canonicalize_witness(",1,,,,", 100) == ",1"
-    # a pending skip would swallow a plain HALT; padding restores it
-    assert canonicalize_witness("1,", 100) == "1,,,,1"
-    for w in ("", "00", "1,"):
-        c = canonicalize_witness(w, 100)
-        r = machine.run(c, 100, machine.LAZY)
-        assert r.halted and r.consumed == len(c)
 
 
 def test_sample_seed_spreads():
@@ -252,6 +244,33 @@ def test_coding_gap_is_never_positive():
     assert max(gaps) <= 1e-12
     for entry in rep.entries:
         assert entry.k_canonical >= entry.k_hat
+        assert entry.k_canonical - entry.k_hat in (0, 2)
+
+
+def test_coding_gap_prices_a_halting_witness_as_its_own_canonical_form(monkeypatch):
+    # the shortest witness of this target, 00010,01001,,110,0 (print
+    # 01,10, SKIPZ, HALT, INC, LOOP), skips HALT on its first pass and runs
+    # it on its second, having read its last pair, so it is canonical as it
+    # stands: k_canonical is k_hat, not k_hat + 2.  The mass is stubbed
+    # out; only the level it would be priced at is recorded.
+    searched, levels = [], []
+    search = complexity.shortest_program_upper_bound
+
+    def record_search(*args):
+        searched.append(search(*args))
+        return searched[-1]
+
+    def record_level(target, level, budget):
+        levels.append(level)
+        return prior.PriorEstimate(target, 1.0, "enum", None, level, budget, 1, None, Fraction(1))
+
+    monkeypatch.setattr(complexity, "shortest_program_upper_bound", record_search)
+    monkeypatch.setattr(prior, "enumerate_prior", record_level)
+    (entry,) = coding_theorem_gap(["01,1001,10"], 18, 1000).entries
+    assert (entry.k_hat, entry.k_canonical, levels) == (18, 18, [18])
+    witness = searched[0].witness
+    assert witness == "00010,01001,,110,0"
+    assert canonicalize_witness(witness, 1000) == witness
 
 
 def test_coding_gap_unreachable_target_skipped():
@@ -273,6 +292,22 @@ def test_compiler_check_small():
     assert rep.outputs_checked == (3**5 - 1) // 2
     assert rep.output_counterexamples == [] and rep.mass_counterexamples == []
     assert compiler_prefix_check(-2, 10).outputs_checked == 0
+
+
+def test_compiler_mass_half_needs_a_step_for_the_selector():
+    # the mass half gives DUAL the same budget, so "0"+p runs p in B - 1
+    # steps: at B = 2 and 3 the targets whose programs need all B steps
+    # lose their hosted twins, and from B = 4 no target fails at L <= 7
+    two_steps = [",", "0", "1"]
+    three_steps = [",,", ",0", ",1", "0,", "00", "01", "1,", "10", "11"]
+    for max_len in range(8):
+        for budget, failing in ((2, two_steps if max_len >= 4 else []),
+                                (3, three_steps if max_len >= 6 else []),
+                                (4, []), (5, [])):
+            rep = compiler_prefix_check(max_len, budget)
+            assert rep.mass_counterexamples == failing, (max_len, budget)
+            assert rep.output_counterexamples == [], (max_len, budget)
+    assert compiler_prefix_check(7, 3).targets_checked == 13
 
 
 def test_dual_canonical_mass_construction():

@@ -10,6 +10,7 @@ import pytest
 from reference_machine import (
     SYMBOLS,
     canonical_by_string,
+    canonicalize_witness,
     decode_instruction,
     first_witnesses_by_string,
     reference_run,
@@ -227,6 +228,24 @@ def test_first_witness_walk_matches_per_program_definition(budget, aux):
                 assert (got.witness, got.k_hat) == (None, None), (target, max_len)
             else:
                 assert (got.witness, got.k_hat) == (want, len(want)), (target, max_len)
+
+
+@pytest.mark.parametrize("budget", (1, 2, 3, 7, 200))
+def test_coding_gap_canonical_length_matches_trial_canonicalization(budget):
+    # coding_theorem_gap prices the shortest witness w at k_hat + 2 unless
+    # w's lazy run halts; the reference appends a HALT (or a padding
+    # instruction plus HALT) by trial runs instead, at every length cap
+    first = first_witnesses_by_string(8, budget)
+    targets = ["".join(s) for n in range(5) for s in itertools.product(SYMBOLS, repeat=n)]
+    for max_len in (-1, 0, 1, 2, 3, 5, 6, 8):
+        for entry in prior.coding_theorem_gap(targets, max_len, budget).entries:
+            w = first.get(entry.target)
+            if w is None or len(w) > max_len:
+                assert (entry.k_hat, entry.k_canonical) == (None, None), (entry, max_len)
+            else:
+                want = len(canonicalize_witness(w, budget))
+                assert (entry.k_hat, entry.k_canonical) == (len(w), want), (entry, max_len)
+                assert entry.gap <= 1e-12, (entry, max_len)
 
 
 @pytest.mark.parametrize("prefix", ("10" * 8, "10" * 8 + "11" * 8 + ",,"))

@@ -155,6 +155,12 @@ def test_run_learner_validation():
         run_learner(SwitchingBandit(10), 0, seed=0)
 
 
+def test_unrecorded_trace_has_no_rows():
+    tr = run_learner(SwitchingBandit(10), 50, seed=0, record_steps=False)
+    assert (tr.actions, tr.rewards) == (None, None)
+    assert list(tr.jsonl_rows()) == [] and list(tr.jsonl_lines()) == []
+
+
 def test_baseline_never_learns():
     tr = uniform_baseline(SwitchingBandit(100), 5000, seed=0)
     assert tr.final_policy == Policy.uniform().vectors
