@@ -29,9 +29,9 @@ Variants:
            jumps only to an anchor, an earlier ip), and OUT0 and OUT1
            differ only in what they print, so _sigma(p) runs as p does with
            the two swapped.  run hosts the rest, or _sigma(rest) after a
-           '1', on the one loop below, from square 1 with the anchor there
-           and one step spent: the selector, one fetch of one square, is
-           the whole cost of hosting T3.  An empty program runs as in T3.
+           '1', on the one loop below, from _SELECTED (square 1, anchor 1,
+           one step spent): the selector, one fetch of one square, is the
+           whole cost of hosting T3.  An empty program runs as in T3.
 
 Run modes:
 
@@ -48,12 +48,12 @@ that reads a tape square; callers hand the machine program text.  It
 resumes a state, by default _START (square 0, register 0, anchor 0, nothing
 printed), and says why it stopped: the next fetch reads past the tape,
 HALT, a wrong or surplus output symbol, the budget, or a proven loop.
-Exhaustive sweeps (prior's exact sums, complexity's searches and census) do
-not run each of the 3^L tape strings from square 0.  _witnesses walks the
-tape tree depth first, and a node resumes its parent's suspended run on the
-squares its next fetch reads, so every prefix runs once.  A run that stops
-for any other reason than the tape's end kills the whole subtree, since
-every extension replays it; the deaths are proofs:
+Exhaustive sweeps (prior's exact sums and hosting check, complexity's
+searches and census) do not run each of the 3^L tape strings from square
+0.  _witnesses walks the tape tree depth first, and a node resumes its
+parent's suspended run on the squares its next fetch reads, so every prefix
+runs once.  A run that stops for any other reason than the tape's end kills
+the whole subtree, since every extension replays it; the deaths are proofs:
 
 * a wrong or surplus output symbol cannot be recovered (output never
   shrinks);
@@ -63,6 +63,9 @@ every extension replays it; the deaths are proofs:
   zero in between diverges (the zero tests SKIPZ/LOOP and DEC saturation
   are the only register-sensitive branches, so the shifted replay makes
   the register climb forever).
+
+A caller's list gets every node the walk resumes, with its stop and state:
+classes of programs that run alike, which prior's hosting check pairs up.
 
 The loop looks for repeats at two events only, from the first step: a
 taken LOOP, the only backward move, where the key (ip, anchor) is just the
@@ -109,7 +112,7 @@ the longest target's length as the output cap, a guess dies at its first
 symbol past the longest target, at the budget, or on a cycle or
 divergence, and none of those could score.  Most guesses never run: each
 call walks the tape tree once to _HEAD_DEPTH squares (_witnesses, with its
-frontier), and a head table maps each string of that many squares to the
+nodes), and a head table maps each string of that many squares to the
 verdict every tape that starts with it shares, which _resume reads on
 entry.  A run on a fixed tape is a function of the tape, and a run waiting
 at _AT_END resumes on a longer tape as a run of that tape from square 0,
@@ -238,6 +241,7 @@ def _sigma(p: str) -> str:
 
 
 _START = (0, 0, 0, (), 0, 0, None)  # square 0, register 0, nothing printed
+_SELECTED = (1, 0, 1, (), 1, 0, None)  # after a DUAL selector: square 1, one step
 
 
 def _resume(tape, budget, cap, target=None, aux=None, state=_START, head=None):
@@ -263,8 +267,8 @@ def _resume(tape, budget, cap, target=None, aux=None, state=_START, head=None):
     suspended state (a tuple) is resumed in place of state, and any other
     verdict, a target's slot or None for a missing key, is returned as
     (_BY_HEAD, verdict).  prior's sampler builds the table from the walk's
-    halts and frontier (_witnesses), so each entry is the verdict of every
-    tape that starts with its key.
+    halts and waiting leaves (_witnesses), so each entry is the verdict of
+    every tape that starts with its key.
     """
     n = len(tape)
     if head is not None and n >= _HEAD_DEPTH:
@@ -340,11 +344,13 @@ def _witnesses(
     prefix="",
     shortest=False,
     mode=FINITE,
-    frontier=None,
+    start=_START,
+    nodes=None,
 ):
     """Walk the tape tree of the programs of length <= max_len that start
-    with prefix, program text of even length, and yield (program, output)
-    for each halt in lexicographic order.
+    with prefix, program text, from start (_START, or _SELECTED after a
+    DUAL selector: an ip of the prefix's parity), and yield (program,
+    output) for each halt in lexicographic order.
 
     * FINITE: a node halts when its run reaches the end of its tape or runs
       HALT, and it is yielded when it printed exactly cap symbols
@@ -358,19 +364,21 @@ def _witnesses(
       unlimited; with a target, each halt printed a prefix of it.
 
     With shortest, each node yielded is shorter than the one before, and
-    the last is the shortlex-first.  Without it, a list as frontier gets
-    (program, state) for each node whose run waits at the end of its tape
-    for a fetch past max_len: every tape that starts with the program runs
-    as state resumed on it.  Such a program can be up to three squares
-    short of max_len: a fetch reads two squares, and a SKIPZ over the
-    tape's end moves two more.
+    the last is the shortlex-first.  Without it, a list as nodes gets
+    (program, why, state) for each node the walk resumes.  A node waiting
+    at its tape's end (_AT_END) with ip + 2 <= max_len has children; the
+    rest are leaves.  Every program under a node, up to max_len symbols
+    (up to ip + 1 if it waits), runs as the node's run; in LAZY mode so
+    does every tape that starts with a leaf.  A waiting leaf can be up to
+    three squares short of max_len: a fetch reads two squares, and a SKIPZ
+    over the tape's end moves two more.
     """
     finite = mode == FINITE
     tape = to_ints(prefix)
     depth = len(tape)
     if depth > max_len:
         return
-    why, state = _resume(tape, budget, cap, target, aux)
+    why, state = _resume(tape, budget, cap, target, aux, start)
     limit = max_len
     # pending nodes as (the squares past the parent, parent state), pushed
     # in reverse so that the lexicographically first comes off the stack
@@ -379,6 +387,8 @@ def _witnesses(
     stack = []
     end, halt = _AT_END, _AT_HALT  # _resume returns these very objects
     while True:
+        if nodes is not None:
+            nodes.append((to_str(tape), why, state))
         if why is end or why is halt:
             if (len(state[3]) == cap) if finite else (why is halt):
                 yield to_str(tape), state[3]
@@ -386,8 +396,6 @@ def _witnesses(
                     limit = depth - 1
             if why is end and state[0] + 2 <= limit:
                 stack += zip(_TAILS[state[0] + 2 - depth], repeat(state))
-            elif why is end and frontier is not None:
-                frontier.append((to_str(tape), state))
         if not stack:
             return
         squares, state = stack.pop()
@@ -434,8 +442,8 @@ def run(
     aux_ints = to_ints(aux) if aux is not None else None
     cap = _NO_CAP if out_cap is None else out_cap
     kept = None  # the output stored, once the run printed more than out_cap
-    start = 1 if hosted else 0  # a DUAL selector is one fetch of one square
-    state = (start, 0, start, [], start, 0, None)
+    ip, reg, anchor, out, steps, top, _ = _SELECTED if hosted else _START
+    state = (ip, reg, anchor, list(out), steps, top, None)
     while True:
         why, (ip, reg, anchor, out, steps, top, hit) = _resume(
             tape, max_steps, cap, None, aux_ints, state

@@ -155,13 +155,14 @@ def _head_table(targets, budget):
     prefixes = {g[:j] for g in goals for j in range(len(g) + 1)}
     cap = max(map(len, goals), default=0)
     depth = machine._HEAD_DEPTH
-    frontier = []
+    nodes = []
     verdicts = [
         (p, slot_of[out])
-        for p, out in machine._witnesses(depth, budget, cap, mode=LAZY, frontier=frontier)
+        for p, out in machine._witnesses(depth, budget, cap, mode=LAZY, nodes=nodes)
         if out in slot_of
     ]
-    verdicts += [(p, state) for p, state in frontier if state[3] in prefixes]
+    waiting = [(p, s) for p, why, s in nodes if why is machine._AT_END and s[0] + 2 > depth]
+    verdicts += [(p, state) for p, state in waiting if state[3] in prefixes]
     table = {}
     for p, verdict in verdicts:
         key = bytes(machine.to_ints(p))
@@ -461,23 +462,44 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
     """Hosting inequality for the one-symbol compiler prefix "0".
 
     Output equality: DUAL on "0"+p matches T3 on p for every |p| <= max_len
-    in finite mode (DUAL gets one extra step for the selector fetch).  Mass
-    dominance: each target with T3 mass at max_len keeps at least a third of
-    it under DUAL at max_len+1, since "0"+p costs exactly one more symbol,
-    once the budget leaves the selector its step.  This half gives DUAL the
-    same budget, so "0"+p runs p in budget - 1 steps, and a p that needs all
-    of them has no hosted twin: at budget 2 the targets ",", "0" and "1"
-    fail for max_len 4-7, at budget 3 nine of 13 targets fail for max_len
-    6-7, and from budget 4 none fails at max_len <= 7.
+    in finite mode (DUAL gets one extra step for the selector fetch).  Each
+    node of a FINITE walk, of T3 or of DUAL from machine._SELECTED, is a
+    class: the programs under it run as it does (machine._witnesses).  The
+    classes at p and "0"+p agree when both runs stopped for the same reason
+    in the same state, a loop's proof included, one square and one step
+    apart; any other class runs each program alone on both machines.
+    outputs_checked counts every program, class by class.
+
+    Mass dominance: each target with T3 mass at max_len keeps at least a
+    third of it under DUAL at max_len+1, since "0"+p costs exactly one more
+    symbol, once the budget leaves the selector its step.  This half gives
+    DUAL the same budget, so "0"+p runs p in budget - 1 steps, and a p that
+    needs all of them has no hosted twin: at budget 2 the targets ",", "0"
+    and "1" fail for max_len 4-7, at budget 3 nine of 13 targets fail for
+    max_len 6-7, and from budget 4 none fails at max_len <= 7.
     """
+    # the nodes of a FINITE walk of DUAL's "0" selector, then of T3; no run
+    # prints _NO_CAP symbols, so neither walk yields
+    nodes = []
+    list(machine._witnesses(
+        max_len + 1, budget + 1, machine._NO_CAP, prefix="0", start=machine._SELECTED, nodes=nodes
+    ))
+    twins = {p: (why, state[:5], state[6]) for p, why, state in nodes}
+    nodes = []
+    list(machine._witnesses(max_len, budget, machine._NO_CAP, nodes=nodes))
     out_bad: list[str] = []
     checked = 0
-    for p in programs(max_len):
-        base = run(p, budget)
-        hosted = run("0" + p, budget + 1, variant=DUAL)
-        checked += 1
-        if base.output != hosted.output:
-            out_bad.append(p)
+    for p, why, (ip, reg, anchor, out, steps, _, hit) in nodes:
+        # the twin's stop one square and one step on (top only moves consumed)
+        hit = hit and (hit[0], hit[1] + 1, hit[2])
+        agree = twins.get("0" + p) == (why, (ip + 1, reg, anchor + 1, out, steps + 1), hit)
+        hi = min(ip + 1, max_len) if why is machine._AT_END else max_len
+        for tail in programs(hi - len(p)):
+            checked += 1
+            q = p + tail
+            if not agree and run(q, budget).output != run("0" + q, budget + 1, variant=DUAL).output:
+                out_bad.append(q)
+    out_bad.sort(key=lambda q: (len(q), q.translate(_SHORTLEX)))
 
     # masses per output as integers: T3 in units of 3^-top, DUAL in units
     # of 3^-(top+1), so a third of the T3 mass is t3_w in DUAL units

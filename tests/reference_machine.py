@@ -5,8 +5,9 @@ an Instruction by name, and the output grows one symbol at a time.  It
 covers FINITE and LAZY mode, the T3, T3C and DUAL variants, the output cap,
 and lazy tapes fed square by square from a symbol source, plus the
 per-string definitions of the canonical programs and of the shortlex-first
-witness for each output, the per-digit program at each shortlex index, and
-the canonical form of a witness found by trial runs.
+witness for each output, the per-digit program at each shortlex index,
+the canonical form of a witness found by trial runs, and the hosting
+check's output half program by program.
 It shares no code with omni, so agreement between the two is evidence, not
 tautology.
 """
@@ -266,3 +267,23 @@ def canonicalize_witness(witness, budget):
         if status == "halted" and consumed == len(candidate):
             return candidate
     return None
+
+
+def _reference_output(program, budget, variant):
+    return reference_run(program, budget, "finite", variant)[1]
+
+
+def hosting_counterexamples(max_len, budget, output=_reference_output):
+    """(programs checked, the programs p whose finite run prints otherwise
+    than "0" + p under DUAL, given one more step for the selector), by the
+    definition: every string up to max_len in shortlex order, each run
+    alone on both machines.  output(program, budget, variant) runs one;
+    reference_run's by default."""
+    checked, bad = 0, []
+    for length in range(max_len + 1):
+        for symbols in itertools.product(SYMBOLS, repeat=length):
+            program = "".join(symbols)
+            checked += 1
+            if output(program, budget, "t3") != output("0" + program, budget + 1, "dual"):
+                bad.append(program)
+    return checked, bad

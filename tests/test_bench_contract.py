@@ -47,6 +47,8 @@ def test_benchmark_wrappers_install_count_and_restore():
     assert {m: dict(vars(getattr(om, m))) for m in run.MODULES} == before
     counts = tracer.counts
     assert counts["prior.sweep.visited"] > 0 and counts["prior.sweep.canonical"] > 0
+    # each of the 40 programs of up to 3 symbols once, through prior.programs
+    assert counts["prior.sweep.visited"] == 40
     assert counts["ssa.steps"] == 200
     assert counts["ssa.events"] == len(trace.events)
     assert set(trace.events) <= {"begin", "end", "pop", "noop", "final"}

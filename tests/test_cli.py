@@ -330,6 +330,15 @@ def test_demo_compiler(capsys):
     assert payload["ok"] is True
 
 
+def test_demo_compiler_at_a_budget_of_ten_billion(capsys):
+    # every run among these programs halts, leaves its tape or is proven to
+    # loop long before the budget, and no output is stored in full
+    payload = run_json(
+        capsys, "demo-compiler", "--max-len", "7", "--budget", "10000000000"
+    )
+    assert payload["ok"] is True
+
+
 def test_entropy(capsys):
     payload = run_json(capsys, "entropy", "--x", "0,1,0,0,1,0")
     assert payload["alphabet"] == ["0", "1"]

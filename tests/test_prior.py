@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -292,6 +293,20 @@ def test_compiler_check_small():
     assert rep.outputs_checked == (3**5 - 1) // 2
     assert rep.output_counterexamples == [] and rep.mass_counterexamples == []
     assert compiler_prefix_check(-2, 10).outputs_checked == 0
+
+
+def test_compiler_check_memory_is_flat_in_the_budget():
+    # the output half compares the states its walks stopped in, so no
+    # output grows past what a walk printed: run alone, a printing loop
+    # among these programs would store about 10**6 symbols at this budget
+    tracemalloc.start()
+    try:
+        rep = compiler_prefix_check(7, 2 * 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and rep.outputs_checked == (3**8 - 1) // 2
+    assert peak < 2**20
 
 
 def test_compiler_mass_half_needs_a_step_for_the_selector():

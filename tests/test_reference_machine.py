@@ -3,6 +3,7 @@ reference interpreter in reference_machine."""
 
 import functools
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -13,13 +14,14 @@ from reference_machine import (
     canonicalize_witness,
     decode_instruction,
     first_witnesses_by_string,
+    hosting_counterexamples,
     reference_run,
     stream_block,
     trinary_source,
 )
 
 from omni import complexity, machine, prior
-from omni.enumeration import programs
+from omni.enumeration import program_to_index, programs
 from omni.machine import DUAL, FINITE, LAZY, T3, T3C
 
 ALL_UP_TO_6 = list(programs(6))
@@ -438,8 +440,13 @@ def test_walk_frontier_matches_reference_tapes(budget):
     # frontier together carry the mass of the tapes that halt or reach
     # their end
     for max_len in range(9):
-        frontier = []
-        halts = list(machine._witnesses(max_len, budget, budget, mode=LAZY, frontier=frontier))
+        nodes = []
+        halts = list(machine._witnesses(max_len, budget, budget, mode=LAZY, nodes=nodes))
+        frontier = [
+            (p, state)
+            for p, why, state in nodes
+            if why is machine._AT_END and state[0] + 2 > max_len
+        ]
         printed = {p: machine.to_str(state[3]) for p, state in frontier}
         decided = 0
         for symbols in itertools.product(SYMBOLS, repeat=max_len):
@@ -453,6 +460,98 @@ def test_walk_frontier_matches_reference_tapes(budget):
             decided += at_end or status == machine.HALTED
         mass = sum(3 ** (max_len - len(p)) for p, _ in halts + frontier)
         assert mass == decided, (max_len, budget)
+
+
+def test_lazy_walk_leaves_split_every_tape():
+    # the leaves (every node but one with children) carry the mass of every
+    # tape of L squares: halted, proven loop, budget or frontier, as in
+    # ROADMAP item 1's table at L = 8, B = 200; the halted leaves are the
+    # canonical programs
+    canonical = sorted(canonical_by_string(8, 200))
+    whys = (machine._AT_HALT, machine._IN_LOOP, machine._AT_BUDGET, machine._AT_END)
+    for max_len in range(11):
+        nodes = []
+        list(machine._witnesses(max_len, 200, 200, mode=LAZY, nodes=nodes))
+        mass = Counter()
+        for p, why, state in nodes:
+            if why is not machine._AT_END or state[0] + 2 > max_len:
+                mass[why] += 3 ** (max_len - len(p))
+        assert sum(mass.values()) == 3**max_len, max_len
+        if max_len <= 8:
+            halted = [(p, machine.to_str(s[3])) for p, why, s in nodes if why is machine._AT_HALT]
+            assert sorted(halted) == [c for c in canonical if len(c[0]) <= max_len], max_len
+        if max_len == 8:
+            shares = [round(mass[why] / 3**8, 5) for why in whys]
+            assert shares == [0.34736, 0.04679, 0, 0.60585]
+
+
+@pytest.mark.parametrize("budget", (1, 2, 3, 7, 1000))
+def test_finite_walk_classes_partition_programs(budget):
+    # a FINITE walk's node stands for every program under it of lengths
+    # len(node)..hi, hi = min(ip + 1, L) when its run waits at the tape's
+    # end and L otherwise: each program of up to 8 symbols lies in exactly
+    # one class and prints what the class printed, on T3 and hosted behind
+    # DUAL's "0" selector (a proven loop's class prints on to the budget)
+    for prefix, start, variant in (("", machine._START, T3), ("0", machine._SELECTED, DUAL)):
+        max_len, b = 8 + len(prefix), budget + len(prefix)
+        nodes = []
+        walk = machine._witnesses(max_len, b, machine._NO_CAP, prefix=prefix, start=start, nodes=nodes)
+        assert list(walk) == []
+        members = Counter()
+        for p, why, state in nodes:
+            hi = min(state[0] + 1, max_len) if why is machine._AT_END else max_len
+            qs = [p + tail for tail in programs(hi - len(p))]
+            members.update(qs)
+            printed = {reference_run(q, b, FINITE, variant)[1] for q in qs}
+            assert len(printed) == 1, (p, why)
+            if why is machine._IN_LOOP:
+                assert printed.pop().startswith(machine.to_str(state[3])), p
+            else:
+                assert printed == {machine.to_str(state[3])}, (p, why)
+        assert members == Counter(prefix + q for q in programs(8)), prefix
+
+
+@pytest.mark.parametrize("budget", (1, 2, 3, 4, 7, 1000))
+def test_compiler_output_half_matches_per_program_runs(budget):
+    # the class walks against every program run alone on both machines,
+    # at every length cap; the report's bytes are those the reference's
+    # counts give
+    _, bad = hosting_counterexamples(8, budget)
+    for max_len in range(-2, 9):
+        rep = prior.compiler_prefix_check(max_len, budget)
+        want = prior.CompilerCheckReport(
+            max_len,
+            budget,
+            sum(3**n for n in range(max_len + 1)),
+            [q for q in bad if len(q) <= max_len],
+            rep.targets_checked,
+            rep.mass_counterexamples,
+        )
+        assert json.dumps(rep.to_json()) == json.dumps(want.to_json()), max_len
+
+
+def _run_output(program, budget, variant):
+    return machine.run(program, budget, variant=variant).output
+
+
+@pytest.mark.parametrize("budget", (7, 1000))
+@pytest.mark.parametrize(
+    "selected",
+    [(1, 0, 1, (), 0, 0, None), (1, 1, 1, (), 1, 0, None)],
+    ids=["selector-costs-no-step", "hosted-register-starts-at-1"],
+)
+def test_compiler_output_half_falls_back_when_the_hosted_start_moves(
+    monkeypatch, selected, budget
+):
+    # run and the hosted walk share DUAL's start: moved, the classes whose
+    # pair stops apart run their programs alone on run, and the report is
+    # the per-program reference's under the same start
+    monkeypatch.setattr(machine, "_SELECTED", selected)
+    rep = prior.compiler_prefix_check(6, budget)
+    want = hosting_counterexamples(6, budget, _run_output)
+    assert (rep.outputs_checked, rep.output_counterexamples) == want
+    assert rep.output_counterexamples
+    assert rep.output_counterexamples == sorted(rep.output_counterexamples, key=program_to_index)
 
 
 @pytest.mark.parametrize("budget", (1, 7, 200))
