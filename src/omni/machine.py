@@ -219,11 +219,11 @@ _NO_CAP = 1 << 63  # an output cap no run reaches
 # The squares a head table keys on.  prior's sampler builds one table per
 # call, from one walk to this depth, and looks up each sample's first
 # squares.  For three targets of up to two symbols at B = 200 (2-core host,
-# Python 3.11), depth 8 decides 61-71% of samples for an 8-18 ms build.
-# Depth 6 builds in 2 ms but decides only 46-58%, and on the 150,000
-# samples of the benchmark's sample workload the extra runs cost more than
-# the build saves; depth 10 decides 73-80% for a 73-110 ms build, which
-# those samples do not repay.
+# Python 3.11), depth 8 decides 61-71% of samples for a 6-7 ms build.
+# Depth 6 builds in 1 ms but decides only 46-58%, and a call on the 150,000
+# samples of the benchmark's sample workload takes 6% longer; depth 9 takes
+# 1-2% longer, and depth 10 decides 73-81% for a 50-55 ms build, which
+# those samples do not repay (24% longer).
 _HEAD_DEPTH = 8
 
 # _sigma on each string of up to four symbols (it keeps any other chunk as is)

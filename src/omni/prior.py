@@ -7,13 +7,13 @@ its prior mass from below (runs that would need more steps count as misses).
 Sample i reads a counter-based splitmix64 stream keyed by (seed, i): block
 b is a pure function of the key and b, so no generator is built per sample
 and no sample depends on another.  That holds however the stream is
-computed: _first_blocks mixes block 1 of a whole batch of samples at once,
-a 64-bit lane each in one int.  Each guess runs on the walk's pruned loop,
-machine._resume, on a tape that starts as block 1 and gains the next block
-each time the run reaches its end.  It dies at its first output symbol
-past the longest target, at the budget, or on a proven cycle or
-divergence: such a run cannot score, and every sample reads its own
-stream, so stopping one early changes no hit.
+computed: _first_blocks mixes and decodes block 1 of a whole batch of
+samples at once, a lane each in one int.  Each guess runs on the walk's
+pruned loop, machine._resume, on a tape that starts as block 1 and gains
+the next block each time the run reaches its end.  It dies at its first
+output symbol past the longest target, at the budget, or on a proven
+cycle or divergence: such a run cannot score, and every sample reads its
+own stream, so stopping one early changes no hit.
 
 Most samples are decided by their first 8 squares (machine._HEAD_DEPTH says
 why 8).  Each call builds one head table (_head_table) from one lazy walk
@@ -25,12 +25,13 @@ printing a non-target, printed past the cap or off every target, was
 proven to loop or ran out of budget, and output never shrinks.  A run on a
 fixed tape is a function of the tape, so each entry is the verdict of
 every tape that starts with its head, and the hits are those of running
-every guess from square 0.  The table costs 8-18 ms per call and saves
-about 1 us per sample, so whole calls cross over between 8,000 and 16,000
-samples.  For three targets of up to two symbols at B = 200 the lookup
-decides 61-71% of samples, and a sample costs about 0.9-1.3 us of stream
-(block 1 and its decoding; 2.0-3.4 us with two finalizers per sample),
-0.2-0.3 us of lookup and 0.8-1.0 us of resume (2-core host, Python 3.11).
+every guess from square 0.  The table costs 6-8 ms per call and saves
+about 0.4 us per sample, so whole calls cross over between 15,000 and
+18,000 samples.  For three targets of up to two symbols at B = 200 the
+lookup decides 61-71% of samples, and a sample costs about 0.33-0.35 us of
+stream (block 1, mixed and decoded a batch at a time; 0.6 us decoding each
+alone), 0.14-0.18 us of lookup and 0.25-0.33 us of resume, averaged over
+all samples (2-core host, Python 3.11).
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target, in one tape-tree walk (_walk) that
@@ -45,8 +46,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -63,10 +62,10 @@ _MIX3 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 _RNG = "splitmix64"  # the sample stream, named in every Monte Carlo report
 
-# Samples whose block 1 _first_blocks mixes in one int, a word of 64 KB.
-# Over 150,000 samples (2-core host, Python 3.11) mixing costs 0.18-0.21 us
-# per sample at 4,096, 0.19-0.24 from 256 to 16,384 and 0.24-0.43 at 64 and
-# 65,536: small batches repeat the per-batch work, large ones outgrow cache.
+# Samples whose block 1 _first_blocks mixes and decodes in one int of 64 KB.
+# Over 150,000 samples (2-core host, Python 3.11) that costs 0.32 us per
+# sample at 1,024-4,096, 0.33 at 256 and 16,384, 0.38-0.40 at 64 and 65,536:
+# small batches repeat the per-batch work, large ones outgrow cache.
 _BATCH = 4096
 
 
@@ -172,11 +171,13 @@ def _head_table(targets, budget):
 
 
 def _first_blocks(seed, lo, hi):
-    """Yield block 1, mix64(mix64(sample_seed(seed, i)) + gamma), of samples
-    i = lo..hi-1, up to _BATCH at a time in one int: sample start + j holds
-    sample_seed(seed, start) + j * _MIX2 mod 2^64 in the lane at bit 128 j,
-    masked to 64 bits before each multiply, so each product stays in its
-    lane."""
+    """Yield the tape of block 1, mix64(mix64(sample_seed(seed, i)) +
+    gamma), as _block_symbols gives it, of samples i = lo..hi-1, up to
+    _BATCH at a time in one int: sample start + j holds sample_seed(seed,
+    start) + j * _MIX2 mod 2^64 in the lane at bit 128 j, masked to 64 bits
+    before each multiply, so each product stays in its lane.  Byte b of
+    every lane, little-endian on any host, is one strided slice of the
+    int's bytes; each lane's eight bytes decode and join in C-level maps."""
     ones, index, n = 1, 0, 1  # lane j of ones holds 1, lane j of index j
     while n < min(_BATCH, hi - lo):
         index |= (index + n * ones) << 128 * n
@@ -184,6 +185,7 @@ def _first_blocks(seed, lo, hi):
         n *= 2
     mask = ones * _U64
     step, gamma = index * _MIX2 & mask, ones * _MIX1
+    symbols = _BYTE_SYMBOLS.__getitem__
     for start in range(lo, hi, n):
         z = sample_seed(seed, start) * ones + step
         for add in (0, gamma):
@@ -191,10 +193,8 @@ def _first_blocks(seed, lo, hi):
             z = ((z ^ z >> 30) & mask) * _MIX2 & mask
             z = ((z ^ z >> 27) & mask) * _MIX3 & mask
             z ^= z >> 31
-        lanes = array("Q", z.to_bytes(16 * n, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        yield from lanes[: 2 * (hi - start) : 2]  # the low halves of the lanes
+        raw, end = z.to_bytes(16 * n, "little"), 16 * min(n, hi - start)
+        yield from map(b"".join, zip(*(map(symbols, raw[b:end:16]) for b in range(8))))
 
 
 def _mc_chunk(targets, budget, seed, head, bounds):
@@ -204,9 +204,9 @@ def _mc_chunk(targets, budget, seed, head, bounds):
     Sample i is a lazy machine run whose tape squares are the uniform
     symbols of the stream keyed mix64(sample_seed(seed, i)): block b =
     mix64(key + b * gamma mod 2^64), b >= 1, is output b of splitmix64
-    started at key.  Block 1 comes from _first_blocks, which mixes it for
-    a whole batch of samples at once; later blocks, which few samples
-    read, are mixed one at a time.  The tape starts as block 1, and
+    started at key.  Block 1 comes from _first_blocks, which mixes and
+    decodes it for a whole batch of samples at once; later blocks, which
+    few samples read, go one at a time.  The tape starts as block 1, and
     machine._resume decides the run from its first squares by head or
     resumes the state head gives.  Each time the run reaches the tape's
     end the next block is appended and the run resumed.
@@ -216,8 +216,7 @@ def _mc_chunk(targets, budget, seed, head, bounds):
     hits = [0] * len(targets)
     cap = max(map(len, targets), default=0)
     resume, by_head, at_end = machine._resume, machine._BY_HEAD, machine._AT_END
-    for i, first in enumerate(_first_blocks(seed, lo, hi), lo):
-        tape = _block_symbols(first)
+    for i, tape in enumerate(_first_blocks(seed, lo, hi), lo):
         why, state = resume(tape, budget, cap, head=head)
         if why is by_head:  # state is the head's verdict: a slot, or None
             if state is not None:

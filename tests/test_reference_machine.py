@@ -16,6 +16,7 @@ from reference_machine import (
     first_witnesses_by_string,
     hosting_counterexamples,
     reference_run,
+    slot_symbols,
     stream_block,
     trinary_source,
 )
@@ -331,9 +332,12 @@ def _scripted_guess(monkeypatch, blocks, budget):
     """(sampler, reference) outputs, None where a run does not halt, on a
     stream of the given blocks and then ',' one square per block: the
     reference reads the same symbols one at a time, and the sampler's
-    output is the target it scores in a batch that holds the reference's."""
-    script = itertools.chain(map(machine.to_ints, blocks), itertools.repeat([2]))
-    monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(next(script)))
+    output is the target it scores in a batch that holds the reference's.
+    Block 1 comes from _first_blocks and later ones from _block_symbols,
+    both from one script."""
+    script = map(bytes, itertools.chain(map(machine.to_ints, blocks), itertools.repeat([2])))
+    monkeypatch.setattr(prior, "_first_blocks", lambda seed, lo, hi: itertools.islice(script, hi - lo))
+    monkeypatch.setattr(prior, "_block_symbols", lambda block: next(script))
     source = itertools.chain("".join(blocks), itertools.repeat(","))
     _, out, status, *_ = reference_run(max_steps=budget, mode=LAZY, source=source)
     want = out if status == machine.HALTED else None
@@ -367,17 +371,22 @@ def test_guess_runner_matches_reference_across_scripted_blocks(monkeypatch):
 
 def test_guess_runner_matches_reference_on_a_three_block_sample(monkeypatch):
     # sample 15,468 of seed 0 reads three blocks before it halts printing
-    # ",1", one of the few at B = 200 and cap 2 that need more than two
+    # ",1", one of the few at B = 200 and cap 2 that need more than two;
+    # the tapes read are the stream's first three blocks
     blocks = []
-    block_symbols = prior._block_symbols
+    first_blocks, block_symbols = prior._first_blocks, prior._block_symbols
     monkeypatch.setattr(
-        prior, "_block_symbols", lambda block: blocks.append(block) or block_symbols(block)
+        prior, "_first_blocks", lambda *args: [blocks.append(t) or t for t in first_blocks(*args)]
+    )
+    monkeypatch.setattr(
+        prior, "_block_symbols", lambda block: blocks.append(block_symbols(block)) or blocks[-1]
     )
     got = _scored(_batch(), 200, 0, 15468)
     _, out, status, *_ = reference_run(max_steps=200, mode=LAZY, source=trinary_source(0, 15468))
     assert (status, out) == (machine.HALTED, ",1")
     assert got == out
     assert len(blocks) == 3
+    assert blocks == [bytes(slot_symbols(stream_block(0, 15468, b), 32)) for b in (1, 2, 3)]
 
 
 @pytest.mark.parametrize(
@@ -423,12 +432,13 @@ def test_mc_scorer_matches_reference_on_seeded_samples(budget):
 @pytest.mark.parametrize("seed", (0, 77, 2**64 - 1, -1, 10**30))
 def test_packed_first_blocks_match_reference(seed):
     # _first_blocks mixes block 1 of a batch of samples in one int, one
-    # 128-bit lane per sample: each lane must be the reference's block 1 of
-    # its sample, for one sample, across a batch edge, and over two full
-    # batches and a partial third
+    # 128-bit lane per sample, and decodes every lane from strided slices
+    # of its bytes: each tape must be the symbols of the reference's block
+    # 1 of its sample, for one sample, across a batch edge, and over two
+    # full batches and a partial third
     n = prior._BATCH
     for lo, hi in ((0, 1), (n - 1, n + 1), (5, 2 * n + 7)):
-        want = [stream_block(seed, i, 1) for i in range(lo, hi)]
+        want = [bytes(slot_symbols(stream_block(seed, i, 1), 32)) for i in range(lo, hi)]
         assert list(prior._first_blocks(seed, lo, hi)) == want, (lo, hi)
 
 
@@ -483,6 +493,49 @@ def test_lazy_walk_leaves_split_every_tape():
         if max_len == 8:
             shares = [round(mass[why] / 3**8, 5) for why in whys]
             assert shares == [0.34736, 0.04679, 0, 0.60585]
+
+
+@pytest.mark.parametrize("budget", (7, 200))
+def test_dual_walk_leaves_split_every_tape(budget):
+    # the hook on DUAL's "0" table: a LAZY walk behind that selector, from
+    # machine._SELECTED.  Its leaves carry the mass of every tape of L
+    # squares that starts with "0", 3^(L-1) in units of 3^-L, at L <= 10;
+    # at L <= 8 the halted leaves are the canonical programs that start with
+    # "0", and each leaf's verdict is the reference's DUAL run of every tape
+    # of L squares under it
+    canonical = sorted(c for c in canonical_by_string(8, budget, DUAL) if c[0].startswith("0"))
+    for max_len in range(1, 11):
+        nodes = []
+        walk = machine._witnesses(
+            max_len, budget, budget, prefix="0", mode=LAZY, start=machine._SELECTED, nodes=nodes
+        )
+        list(walk)
+        leaves = {
+            p: (why, state)
+            for p, why, state in nodes
+            if why is not machine._AT_END or state[0] + 2 > max_len
+        }
+        assert sum(3 ** (max_len - len(p)) for p in leaves) == 3 ** (max_len - 1), max_len
+        if max_len > 8:
+            continue
+        halted = [(p, machine.to_str(s[3])) for p, (why, s) in leaves.items() if why is machine._AT_HALT]
+        assert sorted(halted) == [c for c in canonical if len(c[0]) <= max_len], max_len
+        for symbols in itertools.product(SYMBOLS, repeat=max_len - 1):
+            tape = "0" + "".join(symbols)
+            (leaf,) = [tape[:j] for j in range(1, max_len + 1) if tape[:j] in leaves]
+            why, state = leaves[leaf]
+            printed = machine.to_str(state[3])
+            _, out, status, _, steps, _ = reference_run(tape, budget, LAZY, DUAL)
+            if why is machine._AT_HALT:
+                assert (status, out) == (machine.HALTED, printed), tape
+            elif why is machine._AT_END:  # the tape ends before the next fetch
+                assert (status, out) == (machine.BUDGET, printed) and steps < budget, tape
+            elif why is machine._AT_BUDGET:
+                assert (status, out, steps) == (machine.BUDGET, printed, budget), tape
+            else:  # a proven loop runs on to the budget
+                assert why is machine._IN_LOOP, (tape, why)
+                assert status == machine.BUDGET and steps == budget, tape
+                assert out.startswith(printed), tape
 
 
 @pytest.mark.parametrize("budget", (1, 2, 3, 7, 1000))
@@ -764,6 +817,7 @@ def test_mc_scorer_abandons_a_guess_past_the_longest_target(monkeypatch):
     # die at its third symbol, the first past the longest target.  The head
     # table's walk runs every tape of up to 8 squares with that cap, and it
     # kills the all-OUT0 one there, so the samples' own runs take no step
+    monkeypatch.setattr(prior, "_first_blocks", lambda seed, lo, hi: [bytes(62)] * (hi - lo))
     monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(62))
     budget = _StepLimit(10**6, limit=WALK_CHECKS)
     head = prior._head_table(["0", "00"], budget)
@@ -779,6 +833,7 @@ def test_mc_scorer_abandons_a_guess_its_head_left_live(monkeypatch):
     # OUT0 forever, which no loop record sees: the resume must stop at its
     # first check, on the third symbol
     tape = bytes(machine.to_ints(",,100000")) + bytes(54)
+    monkeypatch.setattr(prior, "_first_blocks", lambda seed, lo, hi: [tape] * (hi - lo))
     monkeypatch.setattr(prior, "_block_symbols", lambda block: tape)
     budget = _StepLimit(10**6, limit=WALK_CHECKS)
     head = prior._head_table(["0", "00"], budget)
