@@ -156,9 +156,10 @@ def _enumerate_text(start: int, stop: int):
     """The _emit_json text of {"from", "to", "programs": [{"k", "program"}, ...]},
     byte for byte, in chunks of rows, so memory stays flat in the row count."""
     yield '{\n  "schema": 1,\n  "from": %d,\n  "to": %d,\n  "programs": [\n' % (start, stop)
+    programs = enumeration._program_range(start, stop)
     for lo in range(start, stop + 1, _ROWS_PER_CHUNK):
         rows = range(lo, min(lo + _ROWS_PER_CHUNK, stop + 1))
-        text = ",\n".join([_ENUMERATE_ROW % (k, enumeration.index_to_program(k)) for k in rows])
+        text = ",\n".join(map(_ENUMERATE_ROW.__mod__, zip(rows, programs)))
         yield text if lo == start else ",\n" + text
     yield "\n  ]\n}\n"
 

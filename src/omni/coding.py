@@ -18,6 +18,7 @@ rows' ideal of 41.6 but 37.4 over the model's ideal of 4.6.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 # termination overhead plus the quantization excess of short sequences;
@@ -31,6 +32,7 @@ _QUARTER = _HALF >> 1
 _MASK = _FULL - 1
 _MAX_TOTAL = _QUARTER + 2
 _SCALE = 1 << 16
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # bit text to bit values
 
 
 class ZeroProbabilityError(ValueError):
@@ -123,83 +125,6 @@ def shannon_code_length(states: list[str], model: NoiseModel) -> float:
 # #### integer range coder ####
 
 
-class _Encoder:
-    def __init__(self):
-        self.low = 0
-        self.high = _MASK
-        self.pending = 0
-        self.bits: list[str] = []
-
-    def _emit(self, bit: int):
-        self.bits.append("01"[bit])
-        if self.pending:
-            self.bits.append("10"[bit] * self.pending)
-            self.pending = 0
-
-    def encode(self, cum_lo: int, cum_hi: int, total: int):
-        rng = self.high - self.low + 1
-        self.high = self.low + cum_hi * rng // total - 1
-        self.low = self.low + cum_lo * rng // total
-        while True:
-            if (self.low ^ self.high) & _HALF == 0:
-                self._emit(self.low >> (_NUM_BITS - 1))
-                self.low = (self.low << 1) & _MASK
-                self.high = ((self.high << 1) & _MASK) | 1
-            elif self.low & ~self.high & _QUARTER:
-                # straddling the midpoint: defer the bit decision
-                self.pending += 1
-                self.low = (self.low << 1) ^ _HALF
-                self.high = ((self.high ^ _HALF) << 1) | _HALF | 1
-            else:
-                break
-
-    def finish(self) -> str:
-        self._emit(1)
-        return "".join(self.bits)
-
-
-class _Decoder:
-    def __init__(self, bits: str):
-        self.bits = bits
-        self.pos = 0
-        self.low = 0
-        self.high = _MASK
-        self.code = 0
-        for _ in range(_NUM_BITS):
-            self.code = (self.code << 1) | self._read()
-
-    def _read(self) -> int:
-        # past the end of the stream reads as 0, matching the encoder's
-        # implicit infinite tail
-        if self.pos >= len(self.bits):
-            return 0
-        b = self.bits[self.pos]
-        self.pos += 1
-        return 1 if b == "1" else 0
-
-    def decode(self, cum: list[int]) -> int:
-        total = cum[-1]
-        rng = self.high - self.low + 1
-        value = ((self.code - self.low + 1) * total - 1) // rng
-        sym = 0
-        while cum[sym + 1] <= value:
-            sym += 1
-        self.high = self.low + cum[sym + 1] * rng // total - 1
-        self.low = self.low + cum[sym] * rng // total
-        while True:
-            if (self.low ^ self.high) & _HALF == 0:
-                self.code = ((self.code << 1) & _MASK) | self._read()
-                self.low = (self.low << 1) & _MASK
-                self.high = ((self.high << 1) & _MASK) | 1
-            elif self.low & ~self.high & _QUARTER:
-                self.code = (self.code & _HALF) | ((self.code << 1) & (_MASK >> 1)) | self._read()
-                self.low = (self.low << 1) ^ _HALF
-                self.high = ((self.high ^ _HALF) << 1) | _HALF | 1
-            else:
-                break
-        return sym
-
-
 def _freq_row(probs: list[float]) -> list[int]:
     """Cumulative frequency table; every positive probability gets >= 1."""
     freqs = [max(1, round(p * _SCALE)) if p > 0.0 else 0 for p in probs]
@@ -232,31 +157,69 @@ def arithmetic_roundtrip(
     rows: dict[str | None, list[int]] = {}  # one row per context, shared by both passes
 
     def row_for(prev: str | None) -> list[int]:
-        if prev not in rows:
-            if prev is None:
-                probs = [model.initial_prob(s) for s in model.alphabet]
-            else:
-                probs = [model.transition_prob(prev, s) for s in model.alphabet]
-            rows[prev] = _freq_row(probs)
-        return rows[prev]
+        # called on a context's first use only, so an unused row never fails
+        if prev is None:
+            probs = [model.initial_prob(s) for s in model.alphabet]
+        else:
+            probs = [model.transition_prob(prev, s) for s in model.alphabet]
+        rows[prev] = row = _freq_row(probs)
+        return row
 
-    enc = _Encoder()
+    encoded_bits: list[str] = []
+    low, high, pending = 0, _MASK, 0
     prev: str | None = None
     for i, s in enumerate(states):
-        cum = row_for(prev)
+        cum = rows.get(prev) or row_for(prev)
         j = index[s]
         if cum[j + 1] == cum[j]:
             raise ZeroProbabilityError(i, prev, s)
-        enc.encode(cum[j], cum[j + 1], cum[-1])
+        rng = high - low + 1
+        high = low + cum[j + 1] * rng // cum[-1] - 1
+        low += cum[j] * rng // cum[-1]
+        while True:
+            if (low ^ high) & _HALF == 0:
+                bit = low >> (_NUM_BITS - 1)
+                encoded_bits.append("01"[bit] + "10"[bit] * pending)
+                pending = 0
+                low = (low << 1) & _MASK
+                high = ((high << 1) & _MASK) | 1
+            elif low & ~high & _QUARTER:
+                # straddling the midpoint: defer the bit decision
+                pending += 1
+                low = (low << 1) ^ _HALF
+                high = ((high ^ _HALF) << 1) | _HALF | 1
+            else:
+                break
         prev = s
-    encoded = enc.finish()
+    encoded = "".join(encoded_bits) + "1" + "0" * pending
 
-    dec = _Decoder(encoded)
+    # the decoder reads up to _NUM_BITS - 1 bits past the end, as 0s: the
+    # encoder's implicit infinite tail
+    padded = encoded + "0" * _NUM_BITS
+    bits = padded.encode().translate(_BIT_VALUES)
+    code, pos = int(padded[:_NUM_BITS], 2), _NUM_BITS
+    low, high = 0, _MASK
     decoded: list[str] = []
     prev = None
     for _ in range(len(states)):
-        cum = row_for(prev)
-        sym = dec.decode(cum)
+        cum = rows.get(prev) or row_for(prev)
+        total = cum[-1]
+        rng = high - low + 1
+        sym = bisect_right(cum, ((code - low + 1) * total - 1) // rng) - 1
+        high = low + cum[sym + 1] * rng // total - 1
+        low += cum[sym] * rng // total
+        while True:
+            if (low ^ high) & _HALF == 0:
+                code = ((code << 1) & _MASK) | bits[pos]
+                low = (low << 1) & _MASK
+                high = ((high << 1) & _MASK) | 1
+            elif low & ~high & _QUARTER:
+                code = (code & _HALF) | ((code << 1) & (_MASK >> 1)) | bits[pos]
+                low = (low << 1) ^ _HALF
+                high = ((high ^ _HALF) << 1) | _HALF | 1
+            else:
+                break
+            pos += 1
         prev = model.alphabet[sym]
         decoded.append(prev)
     return encoded, decoded

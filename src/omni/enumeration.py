@@ -1,7 +1,12 @@
 """Shortlex enumeration of programs and a fair dovetailing scheduler.
 
 The enumeration is the 1-based bijection k <-> program under shortlex order
-with digit order '0' < '1' < ','.  A_1 is the empty program.
+with digit order '0' < '1' < ','.  A_1 is the empty program.  A program's
+length n is found in _FIRST, the first index of each length, and its offset
+among the n-symbol programs is written in base 3, six digits at a time.
+_program_range streams a run of consecutive indices: all programs of a block
+of 729 indices share every symbol but the last six, so it writes one program
+per block and appends each row's six.
 
 The dovetailer interleaves all programs on one clock: global step t goes to
 A_{owner(t)} where owner(t) = (exponent of 2 in t) + 1, so A_1 runs on every
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -28,30 +34,49 @@ OUTPUT_CAP = 4096  # registry keeps at most this many output symbols
 # the six-digit program text of each v < 3^6, most significant digit first
 _SIX_DIGITS = tuple("".join(p) for p in itertools.product(machine.SYMBOLS, repeat=6))
 _LOG3 = math.log(3)
+# _FIRST[n] is the index of the first n-symbol program, (3^n + 1)/2, for n < 65
+_FIRST = [(3**n + 1) // 2 for n in range(65)]
 
 
 def index_to_program(k: int) -> str:
-    """Program at 1-based shortlex position k."""
+    """Program at 1-based shortlex position k.  Its length n is looked up in
+    _FIRST when n < 64; past the table's end a float log finds it."""
     if k < 1:
         raise ValueError("index is 1-based")
-    # the n-symbol programs hold positions (3^n + 1)/2 .. (3^(n+1) - 1)/2,
-    # i.e. 3^n <= 2k - 1 < 3^(n+1); the float log can miss n either way
-    m = 2 * k - 1
-    n = int(math.log(m) / _LOG3)
-    p = 3**n
-    while p > m:
-        p //= 3
-        n -= 1
-    while 3 * p <= m:
-        p *= 3
-        n += 1
-    v = k - (p + 1) // 2  # offset among the n-symbol programs, n base-3 digits
+    if k < _FIRST[-1]:
+        n = bisect_right(_FIRST, k) - 1
+        v = k - _FIRST[n]  # offset among the n-symbol programs, n base-3 digits
+    else:
+        # the n-symbol programs hold positions (3^n + 1)/2 .. (3^(n+1) - 1)/2,
+        # i.e. 3^n <= 2k - 1 < 3^(n+1); the float log can miss n either way
+        m = 2 * k - 1
+        n = int(math.log(m) / _LOG3)
+        p = 3**n
+        while p > m:
+            p //= 3
+            n -= 1
+        while 3 * p <= m:
+            p *= 3
+            n += 1
+        v = k - (p + 1) // 2
     text = ""
     while n > 6:
         v, d = divmod(v, 729)
         text = _SIX_DIGITS[d] + text
         n -= 6
     return _SIX_DIGITS[v][6 - n :] + text
+
+
+def _program_range(start: int, stop: int):
+    """Yield index_to_program(k) for k = start..stop.  Every _FIRST[n] with
+    n >= 6 is 365 mod 729, so the programs of each block of indices
+    k = 365 + 729 j .. 1093 + 729 j share their length and all but their
+    last six symbols, and each block costs one index_to_program call."""
+    yield from map(index_to_program, range(start, min(stop + 1, _FIRST[6])))
+    first = max(start, _FIRST[6])
+    for block in range(first - (first - _FIRST[6]) % 729, stop + 1, 729):
+        head = index_to_program(block)[:-6]
+        yield from map(head.__add__, _SIX_DIGITS[max(first - block, 0) : stop + 1 - block])
 
 
 def program_to_index(program: str) -> int:

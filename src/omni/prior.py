@@ -173,7 +173,8 @@ def _head_table(targets, budget):
 def _first_blocks(seed, lo, hi):
     """Yield the tape of block 1, mix64(mix64(sample_seed(seed, i)) +
     gamma), as _block_symbols gives it, of samples i = lo..hi-1, up to
-    _BATCH at a time in one int: sample start + j holds sample_seed(seed,
+    _BATCH at a time in one int (a short last batch in only as many lanes
+    as it has samples): sample start + j holds sample_seed(seed,
     start) + j * _MIX2 mod 2^64 in the lane at bit 128 j, masked to 64 bits
     before each multiply, so each product stays in its lane.  Byte b of
     every lane, little-endian on any host, is one strided slice of the
@@ -187,14 +188,18 @@ def _first_blocks(seed, lo, hi):
     step, gamma = index * _MIX2 & mask, ones * _MIX1
     symbols = _BYTE_SYMBOLS.__getitem__
     for start in range(lo, hi, n):
+        if hi - start < n:  # the last batch is short: mix only its lanes
+            n = hi - start
+            keep = (1 << 128 * n) - 1
+            ones, step, gamma, mask = ones & keep, step & keep, gamma & keep, mask & keep
         z = sample_seed(seed, start) * ones + step
         for add in (0, gamma):
             z = (z + add) & mask
             z = ((z ^ z >> 30) & mask) * _MIX2 & mask
             z = ((z ^ z >> 27) & mask) * _MIX3 & mask
             z ^= z >> 31
-        raw, end = z.to_bytes(16 * n, "little"), 16 * min(n, hi - start)
-        yield from map(b"".join, zip(*(map(symbols, raw[b:end:16]) for b in range(8))))
+        raw = z.to_bytes(16 * n, "little")
+        yield from map(b"".join, zip(*(map(symbols, raw[b::16]) for b in range(8))))
 
 
 def _mc_chunk(targets, budget, seed, head, bounds):

@@ -40,6 +40,11 @@ ENUMERATE_RANGES = (
     + [(_first_of_length(n) - 1, _first_of_length(n) + 1) for n in range(1, 13)]
     + [(5, 4 + _CHUNK), (5, 5 + 2 * _CHUNK)]  # one whole chunk; two and one row
     + [(10**30, 10**30 + 40)]
+    # rows stream in blocks k = 365 + 729 j ..: inside one block, across a
+    # block edge, across the 5/6 and 6/7 symbol steps, then on either side
+    # of the last entry of the table of first indices (64 symbols)
+    + [(400, 700), (1800, 1900), (360, 1100)]
+    + [(_first_of_length(64) - 3, _first_of_length(64) - 1), (_first_of_length(64), _first_of_length(64) + 2)]
 )
 
 

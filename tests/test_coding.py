@@ -3,6 +3,7 @@ import math
 import random
 
 import pytest
+import reference_coder
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -224,3 +225,47 @@ def test_fit_then_code_own_sequence():
     model = fit_noise_model(seq)
     bits, decoded = arithmetic_roundtrip(seq, model)
     assert decoded == seq
+
+
+# #### differential: the folded coder against the class-based reference ####
+
+
+def _assert_same_as_reference(states, model):
+    assert arithmetic_roundtrip(states, model) == reference_coder.arithmetic_roundtrip(states, model)
+
+
+def test_roundtrip_matches_reference_on_seeded_chains():
+    for seed in range(40):
+        rng = random.Random(seed)
+        model, states = _drawn_chain(rng, rng.randrange(1, 3000))
+        _assert_same_as_reference(states, model)
+        model = _random_model(rng, rng.randrange(1, 7))
+        states = [rng.choice(model.alphabet) for _ in range(rng.randrange(1, 300))]
+        _assert_same_as_reference(states, model)
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+def test_roundtrip_matches_reference_at_lifetime_length(seed):
+    model, states = _drawn_chain(random.Random(seed), 22_000)
+    _assert_same_as_reference(states, model)
+
+
+def test_roundtrip_matches_reference_on_a_long_repeat():
+    alphabet = ["a", "b", "c", "d"]
+    stay = {(a, b): 1 - 3e-6 if a == b else 1e-6 for a in alphabet for b in alphabet}
+    _assert_same_as_reference(["a"] * 600_000, NoiseModel(alphabet, stay))
+
+
+@pytest.mark.parametrize(
+    "states",
+    (["0", "0", "1"], ["0"] * 500 + ["1"], ["1", "0"], ["0", "2"], ["2"]),
+)
+def test_zero_probability_error_matches_reference(states):
+    # the stay-only chain forbids every switch; "2" is outside the alphabet
+    model = _self_loop_model(1.0)
+    errors = []
+    for code in (arithmetic_roundtrip, reference_coder.arithmetic_roundtrip):
+        with pytest.raises(ZeroProbabilityError) as exc:
+            code(states, model)
+        errors.append((exc.value.step, exc.value.prev, exc.value.nxt, str(exc.value)))
+    assert errors[0] == errors[1]

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 from reference_machine import index_to_program as index_to_program_by_digits
 from reference_machine import reference_run
 
-from omni import machine
+from omni import enumeration, machine
 from omni.enumeration import (
     OUTPUT_CAP,
     DovetailRegistry,
@@ -61,6 +62,18 @@ def test_index_to_program_at_every_length_boundary():
                 assert program_to_index(index_to_program(k)) == k
         assert len(index_to_program(first)) == n
         assert first == 1 or len(index_to_program(first - 1)) == n - 1
+
+
+def test_program_range_matches_index_to_program():
+    # _program_range writes one program per block of 729 indices and
+    # appends each row's last six symbols; ranges start and stop inside a
+    # block, span several, cross a length, or reach past the _FIRST table
+    rng = random.Random(24)
+    for _ in range(50):
+        start = rng.choice([rng.randrange(1, 2000), rng.randrange(1, 10**8), rng.randrange(1, 3**70)])
+        stop = start + rng.randrange(0, 2500)
+        want = [index_to_program(k) for k in range(start, stop + 1)]
+        assert list(enumeration._program_range(start, stop)) == want, (start, stop)
 
 
 def test_index_to_program_at_a_5000_digit_index():

@@ -442,6 +442,16 @@ def test_packed_first_blocks_match_reference(seed):
         assert list(prior._first_blocks(seed, lo, hi)) == want, (lo, hi)
 
 
+@pytest.mark.parametrize("seed", (0, 2**64 - 1))
+def test_first_blocks_short_last_batch_matches_reference(seed):
+    # a range that ends in a short batch mixes only that batch's lanes:
+    # 4,096 + 5 samples, and fewer samples than one batch of 8 lanes
+    n = prior._BATCH
+    for lo, hi in ((0, n + 5), (3, 8)):
+        want = [bytes(slot_symbols(stream_block(seed, i, 1), 32)) for i in range(lo, hi)]
+        assert list(prior._first_blocks(seed, lo, hi)) == want, (lo, hi)
+
+
 @pytest.mark.parametrize("budget", (1, 7, 200))
 def test_walk_frontier_matches_reference_tapes(budget):
     # the LAZY walk's halts and frontier against every tape of L squares
