@@ -409,14 +409,14 @@ def coding_theorem_gap(targets: list[str], max_len: int, budget: int) -> GapRepo
     the shortest canonical form of the shortest finite witness w.
 
     That form is w itself when w's lazy run halts, else w + ",1", so
-    k_canonical is k_hat or k_hat + 2.  Proof: each node of the finite walk
-    resumes by fetching its last pair, and at that first arrival any
-    instruction but OUT or a taken LOOP ends the run with its parent's
-    output, so the parent, a shorter witness, would have been found first.
-    So w's last pair is no SKIPZ that could jump past it, and w either runs
-    HALT having read that pair (consuming exactly |w| squares: canonical)
-    or stops at the tape's end with ip = |w| below the budget, where one
-    HALT makes it canonical.
+    k_canonical is k_hat or k_hat + 2.  Proof: w's node resumes its parent
+    by one instruction, w's last pair, and any instruction but an OUT or a
+    taken LOOP ends the run right after it with the parent's output (the
+    proof of the cut in the machine module docstring), so the parent, a
+    shorter witness, would have been found first.  So w's last pair is no
+    SKIPZ that could jump past it, and w either runs HALT having read that
+    pair (consuming exactly |w| squares: canonical) or stops at the tape's
+    end with ip = |w| below the budget, where one HALT makes it canonical.
 
     The canonical form sits in the enumeration (its length is covered by
     construction), so mass >= 3^-k_canonical and the gap cannot be

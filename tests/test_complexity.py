@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,3 +130,77 @@ def test_match_search_agrees_with_plain_runner(p, target, budget):
     assert matched == expected
     if not r.halted:  # a run the plain runner leaves unfinished never halts here
         assert why not in (machine._AT_END, machine._AT_HALT)
+
+
+# every string of up to five symbols, as the walk's targets
+UP_TO_5 = [
+    tuple(machine.to_ints("".join(s)))
+    for n in range(6)
+    for s in itertools.product("01,", repeat=n)
+]
+
+
+def _cut_and_uncut(*args, shortest=False):
+    # a nodes list turns the cut off, so the second walk resumes every node
+    cut = list(machine._witnesses(*args, shortest=shortest))
+    return cut, list(machine._witnesses(*args, shortest=shortest, nodes=[]))
+
+
+@pytest.mark.parametrize("shortest", (False, True))
+def test_cut_walk_yields_what_the_uncut_walk_yields(shortest):
+    # the cut skips the last level under a node at register 0 that has
+    # printed too little for one more instruction to reach the cap
+    for t in UP_TO_5:
+        for max_len in range(10):
+            cut, uncut = _cut_and_uncut(max_len, 300, len(t), t, shortest=shortest)
+            assert cut == uncut, (t, max_len)
+
+
+@pytest.mark.parametrize("aux", ("", "0", "1,", "0,1"))
+def test_cut_walk_under_t3c_counts_the_aux_copy(aux):
+    # a READAUX leaf prints the whole aux tape, so the cut keeps the
+    # children of a node len(aux) symbols short of the cap
+    a = tuple(machine.to_ints(aux))
+    for shortest in (False, True):
+        for t in [t for t in UP_TO_5 if len(t) < 5]:
+            for max_len in range(9):
+                cut, uncut = _cut_and_uncut(max_len, 7, len(t), t, a, shortest=shortest)
+                assert cut == uncut, (t, max_len, shortest)
+
+
+def test_cut_census_walk_yields_what_the_uncut_walk_yields():
+    for budget in (3, 300):
+        for cap in range(6):
+            for max_len in range(10):
+                cut, uncut = _cut_and_uncut(max_len, budget, cap)
+                assert cut == uncut, (budget, cap, max_len)
+
+
+@pytest.mark.parametrize("target", ("0000", "0101", "0,0,", "1010"))
+def test_cut_keeps_leaves_under_a_node_with_a_register(target):
+    # 00001,,110,0 prints 00 and leaves the register at 1 before its last
+    # pair, a LOOP that prints 00 again: a cut blind to the register loses
+    # this witness and its kind at L = 12
+    t = tuple(machine.to_ints(target))
+    cut, uncut = _cut_and_uncut(12, 1000, len(t), t)
+    assert cut == uncut
+    looped = "".join("0" + c for c in target[:2]) + "1,,110,0"
+    assert looped in {p for p, _ in cut}
+
+
+def test_cut_halves_the_resumes_of_a_whole_tree_search(monkeypatch):
+    # the L = 10 tree at B = 10^4: 13,591 nodes, of which the cut skips
+    # 7,830 leaves; L = 11 adds no node, since a FINITE node's children sit
+    # at even depths
+    calls = []
+    resume = machine._resume
+    monkeypatch.setattr(machine, "_resume", lambda *a: calls.append(1) or resume(*a))
+    assert shortest_program_upper_bound("101,00", 10, 10**4).k_hat is None
+    assert len(calls) == 5761
+    calls.clear()
+    assert shortest_program_upper_bound("0" * 10, 11, 1000).k_hat is None
+    assert len(calls) == 5761
+    calls.clear()
+    t = tuple(machine.to_ints("101,00"))
+    assert list(machine._witnesses(10, 10**4, len(t), t, shortest=True, nodes=[])) == []
+    assert len(calls) == 13591
