@@ -1,11 +1,12 @@
 """Command line front end.
 
-Every subcommand writes one JSON report (or a JSONL stream for the two
-registry-shaped outputs) to --out or stdout.  Reports carry "schema": 1;
-JSONL streams carry it in their header line.  Exit codes: 0 success, 1
-usage error, 2 guarded runtime error (bad program text, zero-probability
-state, snapshot/prefix mismatch, a run printing more than 2^20 symbols,
-and similar).
+One report path: each subcommand maps its parsed arguments to its report,
+and main alone serializes the report and writes it to --out or stdout.  A
+report is a dict, written as JSON with "schema": 1, or text chunks written
+as they come: enumerate's JSON and dovetail's JSONL, whose header line
+carries the schema.  Exit codes: 0 success, 1 usage error, 2 guarded runtime
+error (bad program text, zero-probability state, snapshot/prefix mismatch,
+a run printing more than 2^20 symbols, and similar).
 
 OMNI_SEED in the environment overrides --seed wherever a seed is consumed,
 so sweeps can be re-pointed without editing scripts.  Identical invocations
@@ -21,7 +22,7 @@ import os
 import sys
 
 from . import complexity, enumeration, machine, multiverse, prior, ssa
-from .coding import ZeroProbabilityError, arithmetic_roundtrip, fit_noise_model, shannon_code_length
+from .coding import arithmetic_roundtrip, fit_noise_model, shannon_code_length
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,85 +39,118 @@ def _build_parser() -> _Parser:
     modes = sorted((machine.FINITE, machine.LAZY))
     variants = sorted((machine.T3, machine.T3C, machine.DUAL))
     walked = sorted((machine.T3, machine.DUAL))  # the variants with canonical programs
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write the report here instead of stdout")
+    sized = argparse.ArgumentParser(add_help=False, parents=[out])
+    sized.add_argument("--max-len", dest="max_len", type=int, required=True)
+    sized.add_argument("--budget", type=int, required=True)
 
-    def add(name, handler, help_text):
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.set_defaults(handler=handler)
+    def add(name, report, help_text, parent=out):
+        sp = sub.add_parser(name, help=help_text, parents=[parent])
+        sp.set_defaults(report=report)
         return sp
 
-    sp = add("enumerate", _cmd_enumerate, "list programs by index in the shortlex bijection")
+    sp = add("enumerate", _enumerate, "list programs by index in the shortlex bijection")
     sp.add_argument("--from", dest="start", type=int, required=True)
     sp.add_argument("--to", dest="stop", type=int, required=True)
 
-    sp = add("run", _cmd_run, "run one program and report the outcome")
+    sp = add("run", _run, "run one program and report the outcome")
     sp.add_argument("--program", required=True)
     sp.add_argument("--max-steps", type=int, default=1000)
     sp.add_argument("--mode", choices=modes, default=machine.FINITE)
     sp.add_argument("--variant", choices=variants, default=machine.T3)
     sp.add_argument("--aux", default=None)
 
-    sp = add("dovetail", _cmd_dovetail, "share steps across all programs, snapshot the registry")
+    sp = add(
+        "dovetail",
+        lambda a: [
+            json.dumps(row) + "\n"
+            for row in enumeration.dovetail(a.steps, mode=a.mode, workers=a.workers).snapshot_rows()
+        ],
+        "share steps across all programs, snapshot the registry",
+    )
     sp.add_argument("--steps", type=int, required=True)
     sp.add_argument("--mode", choices=modes, default=machine.FINITE)
     sp.add_argument("--workers", type=int, default=1)
 
-    sp = add("dedup", _cmd_dedup, "group registry entries by output prefix")
+    sp = add("dedup", _dedup, "group registry entries by output prefix")
     sp.add_argument("--snapshot", required=True)
     sp.add_argument("--prefix-len", dest="prefix_len", type=int, required=True)
 
-    sp = add("census", _cmd_census, "fraction of n-symbol outputs compressible by c")
+    sp = add(
+        "census",
+        lambda a: complexity.compressibility_census(
+            a.n, a.c, a.max_len, a.budget, workers=a.workers
+        ).to_json(),
+        "fraction of n-symbol outputs compressible by c",
+        sized,
+    )
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--c", type=int, required=True)
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--workers", type=int, default=1)
 
-    sp = add("kcomp", _cmd_kcomp, "shortest-program upper bound for a target")
+    sp = add("kcomp", _kcomp, "shortest-program upper bound for a target", sized)
     sp.add_argument("--target", required=True)
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--cond", default=None, help="condition on this string via the aux tape")
 
-    sp = add("mutual", _cmd_mutual, "algorithmic mutual information estimate")
+    sp = add(
+        "mutual",
+        lambda a: complexity.mutual_information_estimate(a.x, a.y, a.max_len, a.budget).to_json(),
+        "algorithmic mutual information estimate",
+        sized,
+    )
     sp.add_argument("--x", required=True)
     sp.add_argument("--y", required=True)
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
 
-    sp = add("prior", _cmd_prior, "Monte Carlo prior mass of a target output")
+    sp = add(
+        "prior",
+        lambda a: prior.estimate_prior_mc(
+            a.target, a.samples, a.budget, _seed(a), workers=a.workers
+        ).to_json(),
+        "Monte Carlo prior mass of a target output",
+    )
     sp.add_argument("--target", required=True)
     sp.add_argument("--samples", type=int, required=True)
     sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
 
-    sp = add("prior-exact", _cmd_prior_exact, "enumerated prior mass of a target output")
+    sp = add(
+        "prior-exact",
+        lambda a: prior.enumerate_prior(a.target, a.max_len, a.budget, a.variant).to_json(),
+        "enumerated prior mass of a target output",
+        sized,
+    )
     sp.add_argument("--target", required=True)
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
     sp.add_argument("--variant", choices=walked, default=machine.T3)
-
-    sp = add("kraft", _cmd_kraft, "total canonical program mass up to a length cap")
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
-    sp.add_argument("--variant", choices=walked, default=machine.T3)
-
-    sp = add("coding-gap", _cmd_coding_gap, "compare -log3(prior mass) against shortest witnesses")
-    sp.add_argument("--target", action="append", required=True)
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
 
     sp = add(
-        "demo-compiler", _cmd_demo_compiler, "hosting check for the one-symbol compiler prefix"
+        "kraft",
+        lambda a: prior.kraft_sum(a.max_len, a.budget, a.variant).to_json(),
+        "total canonical program mass up to a length cap",
+        sized,
     )
-    sp.add_argument("--max-len", dest="max_len", type=int, required=True)
-    sp.add_argument("--budget", type=int, required=True)
+    sp.add_argument("--variant", choices=walked, default=machine.T3)
 
-    sp = add("entropy", _cmd_entropy, "fit a bigram model to states and code them")
+    sp = add(
+        "coding-gap",
+        lambda a: prior.coding_theorem_gap(a.target, a.max_len, a.budget).to_json(),
+        "compare -log3(prior mass) against shortest witnesses",
+        sized,
+    )
+    sp.add_argument("--target", action="append", required=True)
+
+    add(
+        "demo-compiler",
+        lambda a: prior.compiler_prefix_check(a.max_len, a.budget).to_json(),
+        "hosting check for the one-symbol compiler prefix",
+        sized,
+    )
+
+    sp = add("entropy", _entropy, "fit a bigram model to states and code them")
     sp.add_argument("--x", required=True, help="comma-separated state sequence")
 
-    sp = add("ssa", _cmd_ssa, "run the self-modifying learner")
+    sp = add("ssa", _ssa, "run the self-modifying learner")
     sp.add_argument("--period", type=int, required=True)
     sp.add_argument("--lifetime", type=int, required=True)
     sp.add_argument("--seed", type=int, default=0)
@@ -125,25 +159,8 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _write(chunks, out: str | None) -> None:
-    if out is not None:
-        with open(out, "w") as f:
-            f.writelines(chunks)
-    else:
-        sys.stdout.writelines(chunks)
-
-
-def _emit_json(payload: dict, out: str | None) -> None:
-    _write([json.dumps({"schema": 1, **payload}, indent=2) + "\n"], out)
-
-
-def _emit_jsonl(rows, out: str | None) -> None:
-    _write(["".join(json.dumps(r) + "\n" for r in rows)], out)
-
-
 def _seed(args) -> int:
-    env = os.environ.get("OMNI_SEED")
-    return int(env) if env is not None else args.seed
+    return int(os.environ.get("OMNI_SEED", args.seed))
 
 
 # one row of the enumerate report as json.dumps(..., indent=2) lays it out;
@@ -153,7 +170,7 @@ _ROWS_PER_CHUNK = 4096
 
 
 def _enumerate_text(start: int, stop: int):
-    """The _emit_json text of {"from", "to", "programs": [{"k", "program"}, ...]},
+    """main's JSON text of {"from", "to", "programs": [{"k", "program"}, ...]},
     byte for byte, in chunks of rows, so memory stays flat in the row count."""
     yield '{\n  "schema": 1,\n  "from": %d,\n  "to": %d,\n  "programs": [\n' % (start, stop)
     programs = enumeration._program_range(start, stop)
@@ -164,112 +181,59 @@ def _enumerate_text(start: int, stop: int):
     yield "\n  ]\n}\n"
 
 
-def _cmd_enumerate(args):
+def _enumerate(args):
     if args.start < 1 or args.stop < args.start:
         raise ValueError("need 1 <= from <= to")
-    _write(_enumerate_text(args.start, args.stop), args.out)
+    return _enumerate_text(args.start, args.stop)
+
+
+def _kcomp(args):
+    s, L, B = args.target, args.max_len, args.budget
+    if args.cond is None:
+        return complexity.shortest_program_upper_bound(s, L, B).to_json()
+    return complexity.conditional_upper_bound(s, args.cond, L, B).to_json()
 
 
 _RUN_OUTPUT_CAP = 2**20  # output symbols a run report may hold
 
 
-def _cmd_run(args):
-    aux = args.aux
-    if args.variant == machine.T3C and aux is None:
-        aux = ""
+def _run(args):
+    aux = "" if args.variant == machine.T3C and args.aux is None else args.aux
     r = machine.run(args.program, args.max_steps, args.mode, args.variant, aux, _RUN_OUTPUT_CAP)
     if r.truncated:
         raise ValueError(f"the run printed more than {_RUN_OUTPUT_CAP} symbols")
-    _emit_json(r.to_json(), args.out)
+    return r.to_json()
 
 
-def _cmd_dovetail(args):
-    reg = enumeration.dovetail(args.steps, mode=args.mode, workers=args.workers)
-    _emit_jsonl(reg.snapshot_rows(), args.out)
-
-
-def _cmd_dedup(args):
+def _dedup(args):
     with open(args.snapshot) as f:
         rows = [json.loads(line) for line in f if line.strip()]
     reg = enumeration.DovetailRegistry.from_rows(rows)
     groups = multiverse.dedup_universes(reg, args.prefix_len)
-    _emit_json(
-        {
-            "kind": "dedup",
-            "prefix_len": args.prefix_len,
-            "groups": [{"prefix": g.prefix, "members": g.members} for g in groups],
-        },
-        args.out,
-    )
+    return {
+        "kind": "dedup",
+        "prefix_len": args.prefix_len,
+        "groups": [{"prefix": g.prefix, "members": g.members} for g in groups],
+    }
 
 
-def _cmd_census(args):
-    rep = complexity.compressibility_census(
-        args.n, args.c, args.max_len, args.budget, workers=args.workers
-    )
-    _emit_json(rep.to_json(), args.out)
-
-
-def _cmd_kcomp(args):
-    if args.cond is None:
-        b = complexity.shortest_program_upper_bound(args.target, args.max_len, args.budget)
-    else:
-        b = complexity.conditional_upper_bound(args.target, args.cond, args.max_len, args.budget)
-    _emit_json(b.to_json(), args.out)
-
-
-def _cmd_mutual(args):
-    m = complexity.mutual_information_estimate(args.x, args.y, args.max_len, args.budget)
-    _emit_json(m.to_json(), args.out)
-
-
-def _cmd_prior(args):
-    est = prior.estimate_prior_mc(
-        args.target, args.samples, args.budget, _seed(args), workers=args.workers
-    )
-    _emit_json(est.to_json(), args.out)
-
-
-def _cmd_prior_exact(args):
-    est = prior.enumerate_prior(args.target, args.max_len, args.budget, args.variant)
-    _emit_json(est.to_json(), args.out)
-
-
-def _cmd_kraft(args):
-    rep = prior.kraft_sum(args.max_len, args.budget, args.variant)
-    _emit_json(rep.to_json(), args.out)
-
-
-def _cmd_coding_gap(args):
-    rep = prior.coding_theorem_gap(args.target, args.max_len, args.budget)
-    _emit_json(rep.to_json(), args.out)
-
-
-def _cmd_demo_compiler(args):
-    rep = prior.compiler_prefix_check(args.max_len, args.budget)
-    _emit_json(rep.to_json(), args.out)
-
-
-def _cmd_entropy(args):
+def _entropy(args):
     states = args.x.split(",")
-    if not states or any(not s for s in states):
+    if not all(states):
         raise ValueError("--x must be a comma-separated list of nonempty state names")
     model = fit_noise_model(states)
     bits = shannon_code_length(states, model)
     encoded, decoded = arithmetic_roundtrip(states, model)
-    _emit_json(
-        {
-            "states": len(states),
-            "alphabet": model.alphabet,
-            "shannon_bits": bits,
-            "encoded_bits": len(encoded),
-            "roundtrip_ok": decoded == states,
-        },
-        args.out,
-    )
+    return {
+        "states": len(states),
+        "alphabet": model.alphabet,
+        "shannon_bits": bits,
+        "encoded_bits": len(encoded),
+        "roundtrip_ok": decoded == states,
+    }
 
 
-def _cmd_ssa(args):
+def _ssa(args):
     if args.period < 1 or args.lifetime < 1:
         raise ValueError("need period >= 1 and lifetime >= 1")
     seed = _seed(args)
@@ -278,25 +242,21 @@ def _cmd_ssa(args):
     with open(args.trace, "w") if args.trace is not None else contextlib.nullcontext() as f:
         trace = ssa.run_learner(env, args.lifetime, seed, record_steps=f is not None)
         if f is not None:
-            header = {
-                "schema": 1,
-                "kind": "learner-trace",
-                "period": args.period,
-                "steps": args.lifetime,
-                "seed": seed,
-            }
-            f.write(json.dumps(header) + "\n")
+            header = {"schema": 1, "kind": "learner-trace", "period": args.period}
+            f.write(json.dumps(header | {"steps": args.lifetime, "seed": seed}) + "\n")
             f.writelines(trace.jsonl_lines())
-    payload = trace.summary_json()
-    payload["period"] = args.period
-    _emit_json(payload, args.out)
+    return trace.summary_json() | {"period": args.period}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        args.handler(args)
-    except (ValueError, ZeroProbabilityError, OSError, json.JSONDecodeError, KeyError) as e:
+        report = args.report(args)
+        if isinstance(report, dict):
+            report = [json.dumps({"schema": 1, **report}, indent=2) + "\n"]
+        with contextlib.nullcontext(sys.stdout) if args.out is None else open(args.out, "w") as f:
+            f.writelines(report)
+    except (ValueError, OSError, KeyError) as e:
         sys.stderr.write(f"omni: error: {e}\n")
         return 2
     return 0

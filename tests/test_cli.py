@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -8,7 +11,7 @@ from pathlib import Path
 import pytest
 from reference_machine import index_to_program
 
-from omni import cli, ssa
+from omni import cli, coding, ssa
 
 
 def run_cli(capsys, *argv):
@@ -353,6 +356,17 @@ def test_entropy(capsys):
     assert code == 2
 
 
+def test_entropy_past_the_coders_precision_exits_2(capsys, monkeypatch):
+    # the coder refuses a frequency row whose total it cannot hold; no
+    # bigram fit reaches that at the real limit, so lower the limit
+    states = "0,1,0,0,1,0".split(",")
+    model = coding.fit_noise_model(states)
+    monkeypatch.setattr(coding, "_MAX_TOTAL", coding._SCALE // 2)
+    with pytest.raises(ValueError, match="alphabet too large"):
+        coding.arithmetic_roundtrip(states, model)
+    assert run_cli(capsys, "entropy", "--x", "0,1,0,0,1,0") == (2, "")
+
+
 def test_ssa_summary_and_trace(tmp_path, capsys):
     trace = tmp_path / "trace.jsonl"
     payload = run_json(
@@ -427,6 +441,22 @@ def test_out_flag_writes_file_not_stdout(tmp_path, capsys):
 )
 def test_empty_out_path_exits_2_with_nothing_on_stdout(capsys, argv):
     assert run_cli(capsys, *argv, "--out", "") == (2, "")
+
+
+def test_python_m_omni_cli_exits_with_mains_code(capsys):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def python_m(*argv):
+        done = subprocess.run(
+            [sys.executable, "-m", "omni.cli", *argv], capture_output=True, text=True, env=env
+        )
+        return done.returncode, done.stdout
+
+    argv = ["run", "--program", "000,01,1"]
+    assert python_m(*argv) == run_cli(capsys, *argv)
+    assert python_m("run") == (1, "")
+    assert python_m("run", "--program", "0x1") == (2, "")
 
 
 def _readme_cli_examples():
