@@ -71,6 +71,9 @@ def _runs():
 def _streams():
     yield ["enumerate", "--from", "1", "--to", "5000"]
     yield ["enumerate", "--from", str(10**30), "--to", str(10**30 + 40), "--out", "{dir}/enumerate.json"]
+    first = (3**64 + 1) // 2  # the first 64-symbol program
+    yield ["enumerate", "--from", str(first - 20), "--to", str(first + 20)]
+    yield ["enumerate", "--from", str(10**40), "--to", str(10**40 + 40)]
     yield ["dovetail", "--steps", str(2**14)]
     yield ["dovetail", "--steps", "4096", "--mode", "lazy", "--workers", "2"]
     yield ["dovetail", "--steps", "4096", "--out", "{dir}/reg.jsonl"]
