@@ -70,9 +70,12 @@ def test_program_range_matches_index_to_program():
     # block, span several, cross a length, or reach past the _FIRST table
     rng = random.Random(24)
     for _ in range(50):
-        start = rng.choice([rng.randrange(1, 2000), rng.randrange(1, 10**8), rng.randrange(1, 3**70)])
+        start = rng.choice(
+            [rng.randrange(1, 2000), rng.randrange(1, 10**8), rng.randrange(1, 3**70), rng.randrange(1, 3**300)]
+        )
         stop = start + rng.randrange(0, 2500)
         want = [index_to_program(k) for k in range(start, stop + 1)]
+        assert want == [index_to_program_by_digits(k) for k in range(start, stop + 1)], (start, stop)
         assert list(enumeration._program_range(start, stop)) == want, (start, stop)
 
 
