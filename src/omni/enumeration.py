@@ -1,12 +1,15 @@
 """Shortlex enumeration of programs and a fair dovetailing scheduler.
 
 The enumeration is the 1-based bijection k <-> program under shortlex order
-with digit order '0' < '1' < ','.  A_1 is the empty program.  A program's
-length n is found in _FIRST, the first index of each length, and its offset
-among the n-symbol programs is written in base 3, six digits at a time.
-_program_range streams a run of consecutive indices: all programs of a block
-of 729 indices share every symbol but the last six, so it writes one program
-per block and appends each row's six.
+with digit order '0' < '1' < ','.  A_1 is the empty program.  A_k is k - 1
+written in bijective base 3, whose digits 1, 2, 3 stand for '0', '1', ','.
+Its last six digits are (k - 365) mod 729 in plain base 3 once k >= 365, and
+the rest is A_{(k - 365)//729 + 1}, so index_to_program peels off six
+symbols at a time until at most five are left, and looks those up.
+_program_range streams a run of consecutive indices: each block of 729
+indices k = 365 + 729 j .. 1093 + 729 j is A_{j+1} followed by every six
+symbols in order, so it writes one program per block and appends each row's
+six.
 
 The dovetailer interleaves all programs on one clock: global step t goes to
 A_{owner(t)} where owner(t) = (exponent of 2 in t) + 1, so A_1 runs on every
@@ -21,8 +24,6 @@ worker count by construction.
 from __future__ import annotations
 
 import itertools
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,59 +34,39 @@ OUTPUT_CAP = 4096  # registry keeps at most this many output symbols
 
 # the six-digit program text of each v < 3^6, most significant digit first
 _SIX_DIGITS = tuple("".join(p) for p in itertools.product(machine.SYMBOLS, repeat=6))
-_LOG3 = math.log(3)
-# _FIRST[n] is the index of the first n-symbol program, (3^n + 1)/2, for n < 65
-_FIRST = [(3**n + 1) // 2 for n in range(65)]
+# A_1 .. A_364, the programs of at most five symbols in shortlex order
+_SHORT = tuple("".join(p) for n in range(6) for p in itertools.product(machine.SYMBOLS, repeat=n))
 
 
 def index_to_program(k: int) -> str:
-    """Program at 1-based shortlex position k.  Its length n is looked up in
-    _FIRST when n < 64; past the table's end a float log finds it."""
+    """Program at 1-based shortlex position k: k - 1 in bijective base 3."""
     if k < 1:
         raise ValueError("index is 1-based")
-    if k < _FIRST[-1]:
-        n = bisect_right(_FIRST, k) - 1
-        v = k - _FIRST[n]  # offset among the n-symbol programs, n base-3 digits
-    else:
-        # the n-symbol programs hold positions (3^n + 1)/2 .. (3^(n+1) - 1)/2,
-        # i.e. 3^n <= 2k - 1 < 3^(n+1); the float log can miss n either way
-        m = 2 * k - 1
-        n = int(math.log(m) / _LOG3)
-        p = 3**n
-        while p > m:
-            p //= 3
-            n -= 1
-        while 3 * p <= m:
-            p *= 3
-            n += 1
-        v = k - (p + 1) // 2
-    text = ""
-    while n > 6:
-        v, d = divmod(v, 729)
+    m, text = k - 1, ""
+    while m >= 364:  # six symbols or more are left
+        m, d = divmod(m - 364, 729)
         text = _SIX_DIGITS[d] + text
-        n -= 6
-    return _SIX_DIGITS[v][6 - n :] + text
+    return _SHORT[m] + text
 
 
 def _program_range(start: int, stop: int):
-    """Yield index_to_program(k) for k = start..stop.  Every _FIRST[n] with
-    n >= 6 is 365 mod 729, so the programs of each block of indices
-    k = 365 + 729 j .. 1093 + 729 j share their length and all but their
-    last six symbols, and each block costs one index_to_program call."""
-    yield from map(index_to_program, range(start, min(stop + 1, _FIRST[6])))
-    first = max(start, _FIRST[6])
-    for block in range(first - (first - _FIRST[6]) % 729, stop + 1, 729):
-        head = index_to_program(block)[:-6]
+    """Yield index_to_program(k) for k = start..stop (start >= 1).  Row
+    k >= 365 is A_{(k - 365)//729 + 1} + _SIX_DIGITS[(k - 365) % 729], so
+    each block of 729 rows costs one index_to_program call."""
+    yield from _SHORT[start - 1 : stop]
+    first = max(start, 365)
+    for block in range(first - (first - 365) % 729, stop + 1, 729):
+        head = index_to_program((block - 365) // 729 + 1)
         yield from map(head.__add__, _SIX_DIGITS[max(first - block, 0) : stop + 1 - block])
 
 
 def program_to_index(program: str) -> int:
-    digits = machine.to_ints(program)
-    length = len(digits)
-    value = 0
-    for d in digits:
-        value = value * 3 + d
-    return (3**length - 1) // 2 + value + 1
+    """The k with index_to_program(k) == program: the bijective base-3
+    digits d + 1 read back, most significant first."""
+    k = 1
+    for d in machine.to_ints(program):
+        k = 3 * k + d - 1
+    return k
 
 
 def programs(max_len: int, min_len: int = 0):
