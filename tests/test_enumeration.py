@@ -52,8 +52,8 @@ def test_index_to_program_matches_programs_up_to_nine_symbols():
 
 
 def test_index_to_program_at_every_length_boundary():
-    # the first n-symbol program sits at (3^n + 1)/2, where 2k - 1 = 3^n
-    # exactly; the float log misses n on both sides of these for n <= 200
+    # the first n-symbol program sits at (3^n + 1)/2: there k - 1 is n ones
+    # in bijective base 3, "0" * n, and one index before, n - 1 threes
     for n in range(201):
         first = (3**n + 1) // 2
         for k in (first - 1, first, first + 1):
@@ -67,7 +67,7 @@ def test_index_to_program_at_every_length_boundary():
 def test_program_range_matches_index_to_program():
     # _program_range writes one program per block of 729 indices and
     # appends each row's last six symbols; ranges start and stop inside a
-    # block, span several, cross a length, or reach past the _FIRST table
+    # block, span several, cross a length, or reach hundreds of symbols
     rng = random.Random(24)
     for _ in range(50):
         start = rng.choice(
