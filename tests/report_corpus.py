@@ -163,18 +163,12 @@ def row(argv, workdir) -> str:
 
 
 def rows() -> list[str]:
-    """The table's lines as this tree reports them, in ARGV order.  The
-    parser is built once for the whole run: building it costs more than
-    most reports."""
+    """The table's lines as this tree reports them, in ARGV order."""
     saved = os.environ.pop("OMNI_SEED", None)
-    build = cli._build_parser
-    parser = build()
-    cli._build_parser = lambda: parser
     try:
         with tempfile.TemporaryDirectory() as workdir:
             return [row(argv, workdir) for argv in ARGV]
     finally:
-        cli._build_parser = build
         if saved is not None:
             os.environ["OMNI_SEED"] = saved
 
