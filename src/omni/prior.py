@@ -476,11 +476,7 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
 
     Mass dominance: each target with T3 mass at max_len keeps at least a
     third of it under DUAL at max_len+1, since "0"+p costs exactly one more
-    symbol, once the budget leaves the selector its step.  This half gives
-    DUAL the same budget, so "0"+p runs p in budget - 1 steps, and a p that
-    needs all of them has no hosted twin: at budget 2 the targets ",", "0"
-    and "1" fail for max_len 4-7, at budget 3 nine of 13 targets fail for
-    max_len 6-7, and from budget 4 none fails at max_len <= 7.
+    symbol; DUAL again gets one extra step for the selector.
     """
     # the nodes of a FINITE walk of DUAL's "0" selector, then of T3; no run
     # prints _NO_CAP symbols, so neither walk yields
@@ -512,7 +508,7 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
     for p, out in canonical_programs(max_len, budget, T3):
         t3_w[out] = t3_w.get(out, 0) + 3 ** (top - len(p))
     dual_w: dict[str, int] = {}
-    for p, out in canonical_programs(max_len + 1, budget, DUAL):
+    for p, out in canonical_programs(max_len + 1, budget + 1, DUAL):
         dual_w[out] = dual_w.get(out, 0) + 3 ** (top + 1 - len(p))
     mass_bad = [t for t, w in sorted(t3_w.items()) if dual_w.get(t, 0) < w]
     return CompilerCheckReport(max_len, budget, checked, out_bad, len(t3_w), mass_bad)

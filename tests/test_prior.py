@@ -310,17 +310,13 @@ def test_compiler_check_memory_is_flat_in_the_budget():
 
 
 def test_compiler_mass_half_needs_a_step_for_the_selector():
-    # the mass half gives DUAL the same budget, so "0"+p runs p in B - 1
-    # steps: at B = 2 and 3 the targets whose programs need all B steps
-    # lose their hosted twins, and from B = 4 no target fails at L <= 7
-    two_steps = [",", "0", "1"]
-    three_steps = [",,", ",0", ",1", "0,", "00", "01", "1,", "10", "11"]
+    # the mass half gives DUAL B + 1 steps, as the output half does, so
+    # "0"+p runs p in B steps and even the targets whose programs need all
+    # B steps keep their hosted twins
     for max_len in range(8):
-        for budget, failing in ((2, two_steps if max_len >= 4 else []),
-                                (3, three_steps if max_len >= 6 else []),
-                                (4, []), (5, [])):
+        for budget in range(1, 6):
             rep = compiler_prefix_check(max_len, budget)
-            assert rep.mass_counterexamples == failing, (max_len, budget)
+            assert rep.mass_counterexamples == [], (max_len, budget)
             assert rep.output_counterexamples == [], (max_len, budget)
     assert compiler_prefix_check(7, 3).targets_checked == 13
 
