@@ -46,6 +46,9 @@ def _searches():
 def _sweeps():
     for variant, L, B in product(("t3", "dual"), range(-1, 11), (1, 3, 200)):
         yield ["kraft", "--max-len", str(L), "--budget", str(B), "--variant", variant]
+    # caps far past the longest program these budgets let halt
+    yield ["kraft", "--max-len", "1000000", "--budget", "1"]
+    yield ["prior-exact", "--target", "0", "--max-len", "1000000", "--budget", "2"]
     for L, B in product(range(-1, 8), (1, 2, 3, 4, 1000)):
         yield ["demo-compiler", "--max-len", str(L), "--budget", str(B)]
     targets = [a for t in _TARGETS for a in ("--target", t)]
