@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -316,6 +317,13 @@ def canonical_programs(max_len: int, budget: int, variant: str = T3):
     yield from sorted(walked, key=lambda item: (len(item[0]), item[0].translate(_SHORTLEX)))
 
 
+def _mass(lengths: Counter) -> Fraction:
+    """Sum of 3^-n over programs counted by length n, weighed exactly as an
+    integer in units of 3^-top, top the longest length counted."""
+    top = max(lengths, default=0)
+    return Fraction(sum(c * 3 ** (top - n) for n, c in lengths.items()), 3**top)
+
+
 def enumerate_prior(
     target: str, max_len: int, budget: int, variant: str = T3
 ) -> PriorEstimate:
@@ -323,16 +331,11 @@ def enumerate_prior(
     length <= max_len printing the target."""
     machine.check_inputs(budget, target)
     goal = tuple(machine.to_ints(target))
-    top = max(max_len, 0)
-    weight = 0  # the mass in units of 3^-top, summed exactly as an integer
-    hits = 0
-    for p, out in _walk(max_len, budget, variant, goal):
-        if len(out) == len(goal):
-            weight += 3 ** (top - len(p))
-            hits += 1
-    mass = Fraction(weight, 3**top)
+    walked = _walk(max_len, budget, variant, goal)
+    lengths = Counter(len(p) for p, out in walked if len(out) == len(goal))
+    mass = _mass(lengths)
     return PriorEstimate(
-        target, float(mass), "enum", None, max_len, budget, hits, None, mass
+        target, float(mass), "enum", None, max_len, budget, lengths.total(), None, mass
     )
 
 
@@ -355,13 +358,8 @@ class KraftReport:
 def kraft_sum(max_len: int, budget: int, variant: str = T3) -> KraftReport:
     """Sum of 3^-|p| over all canonical programs up to max_len.  Bounded by
     1 at every truncation because the canonical set is prefix-free."""
-    top = max(max_len, 0)
-    weight = 0  # the mass in units of 3^-top, summed exactly as an integer
-    count = 0
-    for p, _ in _walk(max_len, budget, variant):
-        weight += 3 ** (top - len(p))
-        count += 1
-    return KraftReport(Fraction(weight, 3**top), count, max_len, budget)
+    lengths = Counter(len(p) for p, _ in _walk(max_len, budget, variant))
+    return KraftReport(_mass(lengths), lengths.total(), max_len, budget)
 
 
 @dataclass

@@ -2,6 +2,7 @@ import itertools
 import math
 import os
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -53,6 +54,20 @@ def test_exact_sums_match_one_canonical_pass_at_ten(variant):
         assert (est.exact, est.hits) == (mass.get(t, 0), hits[t]), t
     rep = kraft_sum(10, 200, variant)
     assert (rep.total_mass, rep.program_count) == (sum(mass.values()), hits.total())
+
+
+def test_exact_sums_past_the_longest_program_cost_nothing():
+    # at B = 1 and 2 no canonical program is longer than 4 symbols, so a cap
+    # of 10^7 sums what a cap of 4 does; weighing each program in units of
+    # 3^-L would make the sum's integers 10^7 digits long and take seconds
+    start = time.perf_counter()
+    kraft = kraft_sum(10**7, 1)
+    exact = enumerate_prior("0", 10**7, 2)
+    assert time.perf_counter() - start < 1
+    want = kraft_sum(4, 1)
+    assert (kraft.total_mass, kraft.program_count) == (want.total_mass, want.program_count)
+    want = enumerate_prior("0", 4, 2)
+    assert (exact.exact, exact.hits) == (want.exact, want.hits) == (Fraction(1, 81), 1)
 
 
 def test_kraft_monotone_and_bounded():
