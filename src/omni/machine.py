@@ -125,14 +125,13 @@ the next block and resumes, so square j is symbol j of the stream.  A
 square never changes once read, so the same proofs end a guess early; with
 the longest target's length as the output cap, a guess dies at its first
 symbol past the longest target, at the budget, or on a cycle or
-divergence, and none of those could score.  Most guesses never run: each
-call walks the tape tree once to _HEAD_DEPTH squares (_witnesses, with its
-nodes), and a head table maps each string of that many squares to the
-verdict every tape that starts with it shares, which _resume reads on
-entry.  A run on a fixed tape is a function of the tape, and a run waiting
-at _AT_END resumes on a longer tape as a run of that tape from square 0,
-so the table changes no hit: only the point where a guess's loop record
-starts moves, and a proven loop scores nothing wherever it is proven.
+divergence, and none of those could score.  Most guesses never run:
+_resume reads a head memo on entry, which maps a tape's first _HEAD_DEPTH
+squares to the verdict of this loop's run on them alone, run the first
+time a guess reads them.  A run waiting at _AT_END resumes on a longer
+tape as a run of that tape from square 0, so the memo changes no hit:
+only the point where a guess's loop record starts moves, and a proven
+loop scores nothing wherever it is proven.
 
 A program is *canonical* when its lazy-mode run halts having consumed
 exactly its own length.  Canonical programs are prefix-free by
@@ -227,18 +226,19 @@ _BAD_OUTPUT = "output"  # a wrong or surplus output symbol
 _AT_BUDGET = "budget"
 _IN_LOOP = "loop"  # a proven cycle or divergence
 
-_BY_HEAD = "head"  # a head table decided the run from its first squares
+_BY_HEAD = "head"  # a head memo decided the run from its first squares
 
 _NO_CAP = 1 << 63  # an output cap no run reaches
 
-# The squares a head table keys on.  prior's sampler builds one table per
-# call, from one walk to this depth, and looks up each sample's first
-# squares.  For three targets of up to two symbols at B = 200 (2-core host,
-# Python 3.11), depth 8 decides 61-71% of samples for a 6-7 ms build.
-# Depth 6 builds in 1 ms but decides only 46-58%, and a call on the 150,000
-# samples of the benchmark's sample workload takes 6% longer; depth 9 takes
-# 1-2% longer, and depth 10 decides 73-81% for a 50-55 ms build, which
-# those samples do not repay (24% longer).
+# The squares a head memo keys on.  prior's sampler fills one memo per
+# chunk of samples, running each head its samples read: at most 3^8 =
+# 6,561 heads, about 5.5 ms if all are read.  For the targets "", "0" and
+# "1," at B = 200 (2-core host, Python 3.11, medians of 5 in one process)
+# depth 8 decides 71% of samples.  Depth 6 decides 58%: a call of 20,000
+# samples takes 12% less, but one of the 150,000 of the benchmark's sample
+# workload 6-7% more.  Depths 9 and 10 (80%) fill 3 and 8 times as many
+# heads, and take 11% and 31% longer on 150,000 samples, 25% and 37% on
+# 20,000.  At 1,000 samples all four take 1.5-1.8 ms.
 _HEAD_DEPTH = 8
 
 # _sigma on each string of up to four symbols (it keeps any other chunk as is)
@@ -277,17 +277,16 @@ def _resume(tape, budget, cap, target=None, aux=None, state=_START, head=None):
     (register, steps, output length).  At _AT_END the state resumes on the
     tape extended by more squares as a run of that tape from square 0.
 
-    head, a table from _HEAD_DEPTH squares to a verdict, is read once on
+    head, a mapping from _HEAD_DEPTH squares to a verdict, is read once on
     entry, with state _START, when the tape has that many squares: a
     suspended state (a tuple) is resumed in place of state, and any other
-    verdict, a target's slot or None for a missing key, is returned as
-    (_BY_HEAD, verdict).  prior's sampler builds the table from the walk's
-    halts and waiting leaves (_witnesses), so each entry is the verdict of
-    every tape that starts with its key.
+    verdict, a target's slot or None, is returned as (_BY_HEAD, verdict).
+    prior's sampler passes a memo that fills a missing key from this
+    loop's run on the key alone.
     """
     n = len(tape)
     if head is not None and n >= _HEAD_DEPTH:
-        state = head.get(tape[:_HEAD_DEPTH])
+        state = head[tape[:_HEAD_DEPTH]]
         if state.__class__ is not tuple:
             return _BY_HEAD, state
     ip, reg, anchor, out, steps, top, _ = state

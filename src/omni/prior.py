@@ -16,22 +16,21 @@ cycle or divergence: such a run cannot score, and every sample reads its
 own stream, so stopping one early changes no hit.
 
 Most samples are decided by their first 8 squares (machine._HEAD_DEPTH says
-why 8).  Each call builds one head table (_head_table) from one lazy walk
-of every tape of 8 squares, with the call's budget and cap: a head whose
-run halts printing a target gives the target's slot, one whose run waits
-at the tape's end having printed a prefix of a target gives that
-suspended state, and any other head is missing, since its run halted
+why 8).  Each chunk of samples keeps a head memo (_Heads), a dict from
+those squares to the verdict of the lazy run on them alone, with the call's
+budget and cap, that runs a head the first time a sample reads it.  A head
+whose run halts printing a target gives the target's slot, one whose run
+waits at the tape's end having printed a prefix of a target gives that
+suspended state, and any other head gives None, since its run halted
 printing a non-target, printed past the cap or off every target, was
-proven to loop or ran out of budget, and output never shrinks.  A run on a
-fixed tape is a function of the tape, so each entry is the verdict of
-every tape that starts with its head, and the hits are those of running
-every guess from square 0.  The table costs 6-8 ms per call and saves
-about 0.4 us per sample, so whole calls cross over between 15,000 and
-18,000 samples.  For three targets of up to two symbols at B = 200 the
-lookup decides 61-71% of samples, and a sample costs about 0.33-0.35 us of
-stream (block 1, mixed and decoded a batch at a time; 0.6 us decoding each
-alone), 0.14-0.18 us of lookup and 0.25-0.33 us of resume, averaged over
-all samples (2-core host, Python 3.11).
+proven to loop or ran out of budget, and output never shrinks.  Every
+entry is the loop's own run on its key, so the hits are those of running
+every guess from square 0.  A call of 1,000 samples runs about 900 heads;
+one of 150,000 runs all 6,561, in about 5.5 ms.  For the targets "", "0"
+and "1," at B = 200 the memo decides 71% of samples, and a sample costs
+about 0.9 us in all at 150,000 samples, 0.33-0.35 us of it stream (block
+1, mixed and decoded a batch at a time; 0.6 us decoding each alone; 2-core
+host, Python 3.11).
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target, in one tape-tree walk (_walk) that
@@ -50,7 +49,6 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
 
 from . import machine
 from .enumeration import programs
@@ -142,33 +140,32 @@ class PriorEstimate:
         return report
 
 
-def _head_table(targets, budget):
+class _Heads(dict):
     """{the first _HEAD_DEPTH squares of a tape, as bytes: the verdict of
-    every lazy run on a tape that starts with them}, from one walk
-    (machine._witnesses) with the longest target's length as the cap.  A
+    the lazy run on those squares alone}, filled on first read (a memo
+    function, Michie 1968), with the longest target's length as the cap.  A
     run that halts printing a target gives the target's slot; one that
     waits at the tape's end having printed a prefix of a target gives its
-    suspended state.  Any other run cannot score, and its key is missing.
+    suspended state.  Any other run cannot score, and gives None.
     """
-    goals = [tuple(machine.to_ints(t)) for t in targets]
-    slot_of = {g: s for s, g in enumerate(goals)}
-    prefixes = {g[:j] for g in goals for j in range(len(g) + 1)}
-    cap = max(map(len, goals), default=0)
-    depth = machine._HEAD_DEPTH
-    nodes = []
-    verdicts = [
-        (p, slot_of[out])
-        for p, out in machine._witnesses(depth, budget, cap, mode=LAZY, nodes=nodes)
-        if out in slot_of
-    ]
-    waiting = [(p, s) for p, why, s in nodes if why is machine._AT_END and s[0] + 2 > depth]
-    verdicts += [(p, state) for p, state in waiting if state[3] in prefixes]
-    table = {}
-    for p, verdict in verdicts:
-        key = bytes(machine.to_ints(p))
-        for tail in product(range(3), repeat=depth - len(p)):
-            table[key + bytes(tail)] = verdict
-    return table
+
+    def __init__(self, targets, budget):
+        super().__init__()
+        goals = [tuple(machine.to_ints(t)) for t in targets]
+        self.slot_of = {g: s for s, g in enumerate(goals)}
+        self.prefixes = {g[:j] for g in goals for j in range(len(g) + 1)}
+        self.budget, self.cap = budget, max(map(len, goals), default=0)
+
+    def __missing__(self, key):
+        why, state = machine._resume(key, self.budget, self.cap)
+        if why is machine._AT_HALT:
+            verdict = self.slot_of.get(state[3])
+        elif why is machine._AT_END and state[3] in self.prefixes:
+            verdict = state
+        else:
+            verdict = None
+        self[key] = verdict
+        return verdict
 
 
 def _first_blocks(seed, lo, hi):
@@ -203,9 +200,8 @@ def _first_blocks(seed, lo, hi):
         yield from map(b"".join, zip(*(map(symbols, raw[b::16]) for b in range(8))))
 
 
-def _mc_chunk(targets, budget, seed, head, bounds):
-    """Hits per target among samples lo..hi-1 (targets distinct; head is
-    their _head_table).
+def _mc_chunk(targets, budget, seed, bounds):
+    """Hits per target among samples lo..hi-1 (targets distinct).
 
     Sample i is a lazy machine run whose tape squares are the uniform
     symbols of the stream keyed mix64(sample_seed(seed, i)): block b =
@@ -213,14 +209,14 @@ def _mc_chunk(targets, budget, seed, head, bounds):
     started at key.  Block 1 comes from _first_blocks, which mixes and
     decodes it for a whole batch of samples at once; later blocks, which
     few samples read, go one at a time.  The tape starts as block 1, and
-    machine._resume decides the run from its first squares by head or
-    resumes the state head gives.  Each time the run reaches the tape's
-    end the next block is appended and the run resumed.
+    machine._resume decides the run from its first squares by the chunk's
+    head memo (_Heads) or resumes the state it gives.  Each time the run
+    reaches the tape's end the next block is appended and the run resumed.
     """
     lo, hi = bounds
-    slot_of = {tuple(machine.to_ints(t)): s for s, t in enumerate(targets)}
+    head = _Heads(targets, budget)
     hits = [0] * len(targets)
-    cap = max(map(len, targets), default=0)
+    cap = head.cap
     resume, by_head, at_end = machine._resume, machine._BY_HEAD, machine._AT_END
     for i, tape in enumerate(_first_blocks(seed, lo, hi), lo):
         why, state = resume(tape, budget, cap, head=head)
@@ -235,7 +231,7 @@ def _mc_chunk(targets, budget, seed, head, bounds):
             tape += _block_symbols(mix64(block))
             why, state = resume(tape, budget, cap, state=state)
         if why is machine._AT_HALT:
-            slot = slot_of.get(state[3])
+            slot = head.slot_of.get(state[3])
             if slot is not None:
                 hits[slot] += 1
     return hits
@@ -257,11 +253,10 @@ def estimate_prior_mc_batch(
     uniq = list(dict.fromkeys(targets))
     # one contiguous range of samples for each process parallel_map starts
     # (at most one per CPU; a worker count below 1 is its to refuse), so
-    # the partial holding the head table is pickled once per process
+    # each process fills one head memo
     procs = max(1, min(workers, samples, len(os.sched_getaffinity(0))))
     cuts = [samples * j // procs for j in range(procs + 1)]
-    head = _head_table(uniq, budget)
-    fn = partial(_mc_chunk, uniq, budget, seed, head)
+    fn = partial(_mc_chunk, uniq, budget, seed)
     parts = parallel_map(fn, list(zip(cuts, cuts[1:])), workers)
     totals = [sum(col) for col in zip(*parts)]
     result = {}

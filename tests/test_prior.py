@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import random
 import time
 import tracemalloc
@@ -144,11 +143,11 @@ def test_guess_runner_equals_sampled_reference(seed):
     want = out if status == machine.HALTED else None
     short = {"".join(s) for n in range(3) for s in itertools.product("01,", repeat=n)}
     batch = sorted(short | {out})
-    hits = prior._mc_chunk(batch, 40, 123, prior._head_table(batch, 40), (seed, seed + 1))
+    hits = prior._mc_chunk(batch, 40, 123, (seed, seed + 1))
     assert hits == [int(t == want) for t in batch]
 
 
-@pytest.mark.parametrize("workers", (1, 2))
+@pytest.mark.parametrize("workers", (1, 2, 3))
 def test_mc_hits_frozen(workers):
     # the exact hits pin the sample stream and the scoring: criterion 04's
     # tolerance is too wide to notice either changing
@@ -161,12 +160,11 @@ def test_mc_chunk_splits_across_batch_edges():
     # batch, and as its samples one at a time, which mix no batch
     n = prior._BATCH
     targets = ["", "0", "1,"]
-    head = prior._head_table(targets, 200)
     lo, cut, hi = n - 3, n + 1000, 2 * n + 5
-    whole = prior._mc_chunk(targets, 200, 3, head, (lo, hi))
-    halves = [prior._mc_chunk(targets, 200, 3, head, b) for b in ((lo, cut), (cut, hi))]
+    whole = prior._mc_chunk(targets, 200, 3, (lo, hi))
+    halves = [prior._mc_chunk(targets, 200, 3, b) for b in ((lo, cut), (cut, hi))]
     assert whole == [a + b for a, b in zip(*halves)]
-    singles = [prior._mc_chunk(targets, 200, 3, head, (i, i + 1)) for i in range(lo, hi)]
+    singles = [prior._mc_chunk(targets, 200, 3, (i, i + 1)) for i in range(lo, hi)]
     assert whole == [sum(col) for col in zip(*singles)]
 
 
@@ -179,27 +177,15 @@ def test_mc_worker_invariant_past_two_batches():
     assert hits[0] == hits[1]
 
 
-class _CountedTable(dict):
-    """A head table that counts the times it is pickled."""
-
-    pickles = 0
-
-    def __reduce__(self):
-        _CountedTable.pickles += 1
-        return dict, (dict(self),)
-
-
-def test_mc_head_table_pickled_once_per_process(monkeypatch):
-    # the pool gets each process's chunks as one task, so the partial that
-    # holds the table is pickled once per process, not once per chunk
-    build = prior._head_table
-    monkeypatch.setattr(prior, "_head_table", lambda *args: _CountedTable(build(*args)))
-    for workers in (1, 2, 3):
-        _CountedTable.pickles = 0
-        est = estimate_prior_mc_batch(["", "0", "1,"], 20_000, 200, seed=5, workers=workers)
-        assert [est[t].hits for t in ("", "0", "1,")] == [4937, 1181, 257]
-        procs = min(workers, len(os.sched_getaffinity(0)))
-        assert _CountedTable.pickles == (procs if procs > 1 else 0), workers
+def test_mc_runs_only_the_heads_its_samples_read(monkeypatch):
+    # the head memo runs a key when a sample first reads it: one sample
+    # runs its 8-square head, and resumes it at most once more, not a walk
+    # of every tape of 8 squares (3,440 runs)
+    calls = []
+    resume = machine._resume
+    monkeypatch.setattr(machine, "_resume", lambda *a, **k: calls.append(a) or resume(*a, **k))
+    estimate_prior_mc_batch(["0"], 1, 200, 0)
+    assert 1 <= len(calls) <= 3
 
 
 def test_mc_stream_head_matches_exact_mass():

@@ -293,16 +293,11 @@ def test_census_matches_per_length_table(workers):
 SHORT = ["".join(s) for n in range(3) for s in itertools.product(SYMBOLS, repeat=n)]
 
 
-@functools.cache
-def _head(batch, budget):
-    return prior._head_table(list(batch), budget)
-
-
 def _scored(batch, budget, seed, index):
     """The target in batch (a tuple) that Monte Carlo sample index scores,
-    or None: the sampler as estimate_prior_mc_batch runs it, head table
+    or None: the sampler as estimate_prior_mc_batch runs it, head memo
     included."""
-    hits = prior._mc_chunk(list(batch), budget, seed, _head(batch, budget), (index, index + 1))
+    hits = prior._mc_chunk(list(batch), budget, seed, (index, index + 1))
     assert sum(hits) <= 1, hits
     return batch[hits.index(1)] if 1 in hits else None
 
@@ -423,9 +418,8 @@ def test_mc_scorer_matches_reference_on_seeded_samples(budget):
     common = [out for out, _ in halts.most_common(4)]
     for targets in MC_BATCHES + (common,):
         want = [halts[t] for t in targets]
-        head = prior._head_table(targets, budget)
-        assert prior._mc_chunk(targets, budget, 31, head, (0, n)) == want, targets
-        parts = [prior._mc_chunk(targets, budget, 31, head, b) for b in ((0, 700), (700, n))]
+        assert prior._mc_chunk(targets, budget, 31, (0, n)) == want, targets
+        parts = [prior._mc_chunk(targets, budget, 31, b) for b in ((0, 700), (700, n))]
         assert [a + b for a, b in zip(*parts)] == want, targets
 
 
@@ -620,16 +614,16 @@ def test_compiler_output_half_falls_back_when_the_hosted_start_moves(
 @pytest.mark.parametrize("budget", (1, 7, 200))
 def test_head_table_matches_each_tape_run_alone(budget):
     # every 8-square tape run alone from _START against its entry in the
-    # head table: a slot halts printing that target, a state is where the
-    # run waits at the tape's end, and a missing key cannot score
+    # head memo: a slot halts printing that target, a state is where the
+    # run waits at the tape's end, and None cannot score
     for targets in MC_BATCHES:
-        head = prior._head_table(targets, budget)
+        head = prior._Heads(targets, budget)
         goals = [tuple(machine.to_ints(t)) for t in targets]
         cap = max(map(len, goals), default=0)
         for symbols in itertools.product((0, 1, 2), repeat=machine._HEAD_DEPTH):
             tape = bytes(symbols)
             why, state = machine._resume(tape, budget, cap)
-            verdict = head.get(tape)
+            verdict = head[tape]
             case = (targets, budget, machine.to_str(tape))
             if isinstance(verdict, int):
                 assert (why, state[3]) == (machine._AT_HALT, goals[verdict]), case
@@ -695,12 +689,6 @@ def test_pruned_searchers_match_reference_after_the_register_returns_to_zero():
     # and met again with a higher register proves nothing, since a zero
     # test there branched the other way
     _check_searchers_on_bodies("10" * 8 + "11" * 8 + ",,")
-
-
-# budget checks of the head table's walk for the targets "0" and "00" at a
-# budget of 10^6: every run on a tape of up to 8 squares, cut at its third
-# symbol (cap 2), at the tape's end, at a HALT or on a proven loop
-WALK_CHECKS = 8330
 
 
 class _StepLimit(int):
@@ -825,33 +813,33 @@ def test_pruned_searchers_abandon_a_printing_loop():
 def test_mc_scorer_abandons_a_guess_past_the_longest_target(monkeypatch):
     # every tape is OUT0 forever, which no loop record sees: each guess must
     # die at its third symbol, the first past the longest target.  The head
-    # table's walk runs every tape of up to 8 squares with that cap, and it
-    # kills the all-OUT0 one there, so the samples' own runs take no step
+    # memo runs the all-OUT0 head once with that cap, and kills it there
+    # after 3 checks, so the samples' own runs take no step
     monkeypatch.setattr(prior, "_first_blocks", lambda seed, lo, hi: [bytes(62)] * (hi - lo))
     monkeypatch.setattr(prior, "_block_symbols", lambda block: bytes(62))
-    budget = _StepLimit(10**6, limit=WALK_CHECKS)
-    head = prior._head_table(["0", "00"], budget)
-    assert budget.checks == WALK_CHECKS
-    budget = _StepLimit(10**6, limit=0)
-    assert prior._mc_chunk(["0", "00"], budget, 0, head, (0, 5)) == [0, 0]
-    assert budget.checks == 0
+    budget = _StepLimit(10**6, limit=3)
+    assert prior._Heads(["0", "00"], budget)[bytes(8)] is None
+    assert budget.checks == 3
+    budget = _StepLimit(10**6, limit=3)
+    assert prior._mc_chunk(["0", "00"], budget, 0, (0, 5)) == [0, 0]
+    assert budget.checks == 3  # the fill's, none of the samples'
 
 
 def test_mc_scorer_abandons_a_guess_its_head_left_live(monkeypatch):
     # MARK INC OUT0 OUT0 fills the first 8 squares and waits at their end
-    # having printed "00", so each sample resumes the table's state; then
+    # having printed "00", so each sample resumes the memo's state; then
     # OUT0 forever, which no loop record sees: the resume must stop at its
-    # first check, on the third symbol
+    # first check, on the third symbol.  The memo's one fill checks 5 times:
+    # four steps, then the fetch past the end
     tape = bytes(machine.to_ints(",,100000")) + bytes(54)
     monkeypatch.setattr(prior, "_first_blocks", lambda seed, lo, hi: [tape] * (hi - lo))
     monkeypatch.setattr(prior, "_block_symbols", lambda block: tape)
-    budget = _StepLimit(10**6, limit=WALK_CHECKS)
-    head = prior._head_table(["0", "00"], budget)
-    assert budget.checks == WALK_CHECKS
-    assert head[tape[:8]][:5] == (8, 1, 2, (0, 0), 4)
-    budget = _StepLimit(10**6, limit=1 * 5)
-    assert prior._mc_chunk(["0", "00"], budget, 0, head, (0, 5)) == [0, 0]
-    assert budget.checks == 1 * 5
+    budget = _StepLimit(10**6, limit=5)
+    assert prior._Heads(["0", "00"], budget)[tape[:8]][:5] == (8, 1, 2, (0, 0), 4)
+    assert budget.checks == 5
+    budget = _StepLimit(10**6, limit=5 + 1 * 5)
+    assert prior._mc_chunk(["0", "00"], budget, 0, (0, 5)) == [0, 0]
+    assert budget.checks == 5 + 1 * 5
 
 
 def test_canonical_walk_abandons_printing_loops():
