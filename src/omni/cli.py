@@ -209,7 +209,10 @@ def _run(args):
 
 def _dedup(args):
     with open(args.snapshot) as f:
-        rows = [json.loads(line) for line in f if line.strip()]
+        try:
+            rows = [json.loads(line) for line in f if line.strip()]
+        except RecursionError:  # nested deeper than the JSON decoder recurses
+            raise ValueError("malformed dovetail registry snapshot") from None
     reg = enumeration.DovetailRegistry.from_rows(rows)
     groups = multiverse.dedup_universes(reg, args.prefix_len)
     return {

@@ -219,6 +219,17 @@ def test_dedup_rejects_non_registry_file(tmp_path, capsys):
         assert code == 2, text
 
 
+def test_dedup_refuses_a_deeply_nested_line(tmp_path, capsys):
+    # 200,000 nested arrays pass the decoder's recursion limit: a malformed
+    # snapshot, not a crash with a traceback
+    snap = tmp_path / "deep.jsonl"
+    snap.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    code = cli.main(["dedup", "--snapshot", str(snap), "--prefix-len", "2"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["omni: error: malformed dovetail registry snapshot"]
+
+
 def test_dedup_rejects_a_repeated_index(tmp_path, capsys):
     # two rows for k = 3 are not a snapshot; keeping either would guess
     head = {
