@@ -47,9 +47,7 @@ from .machine import (
 from .multiverse import (
     END_MARKER,
     DedupGroup,
-    UniverseState,
     dedup_universes,
-    parse_evolution,
 )
 from .prior import (
     KraftReport,

@@ -1,34 +1,12 @@
-"""Evolutions as symbol strings, and output dedup.
-
-An evolution is a string over {'0','1',','} where ',' closes a state, so
-"0,1,00," reads: state "0", then "1", then "00".  Whatever follows the last
-comma is an unfinished state; it only counts once the evolution is marked
-complete (and is non-empty).
-"""
+"""Output dedup: the dovetailed universes grouped by output prefix."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .enumeration import DovetailRegistry
-from .machine import to_ints
 
 END_MARKER = "$"  # not a machine symbol, marks a complete short output
-
-
-@dataclass
-class UniverseState:
-    bits: str
-    l: int  # 1-based position in its evolution; the big bang is l == 1
-
-
-def parse_evolution(e: str, complete: bool = True) -> list[UniverseState]:
-    to_ints(e)  # symbol validation only
-    segments = e.split(",")
-    states = segments[:-1]
-    if complete and segments[-1]:
-        states.append(segments[-1])
-    return [UniverseState(bits, l) for l, bits in enumerate(states, start=1)]
 
 
 @dataclass

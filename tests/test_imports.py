@@ -101,14 +101,13 @@ def _modules():
 
 def _uncalled(names):
     """The names that no code in src/omni reads outside their own
-    definition and that bench/ never reads.  parse_evolution waits for its
-    first caller, the perceived-randomness report (ROADMAP item 8)."""
+    definition and that bench/ never reads."""
     read = set()
     for path in _modules():
         read |= {name for name, owner in _reads_outside_own_definition(path) if owner != name}
     for path in sorted((ROOT / "bench").glob("*.py")):
         read |= {name for name, _ in _reads_outside_own_definition(path)}
-    return [name for name in names if name not in read and name != "parse_evolution"]
+    return [name for name in names if name not in read]
 
 
 def test_every_exported_function_and_class_has_a_caller():

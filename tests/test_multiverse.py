@@ -1,36 +1,8 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from omni import multiverse
 from omni.enumeration import DovetailRegistry, RegistryEntry
-from omni.multiverse import dedup_universes, parse_evolution
-
-bits_st = st.text(alphabet="01", max_size=5)
-
-
-def test_parse_complete_evolution():
-    states = parse_evolution("0,01,011")
-    assert [(s.l, s.bits) for s in states] == [(1, "0"), (2, "01"), (3, "011")]
-
-
-def test_parse_running_evolution_drops_unterminated_tail():
-    # mid-print state after the last comma is not a state yet
-    assert [s.bits for s in parse_evolution("0,01,", complete=True)] == ["0", "01"]
-    assert [s.bits for s in parse_evolution("0,01", complete=False)] == ["0"]
-
-
-def test_parse_empty_and_bad_symbols():
-    assert parse_evolution("") == []
-    with pytest.raises(ValueError):
-        parse_evolution("0,x1")
-
-
-@given(st.lists(bits_st, min_size=1, max_size=6))
-@settings(max_examples=200)
-def test_parse_reconstructs_joined_states(states):
-    e = ",".join(states) + ","
-    assert [s.bits for s in parse_evolution(e)] == states
+from omni.multiverse import dedup_universes
 
 
 def _registry(rows, cap=16):
