@@ -211,7 +211,7 @@ def _dedup(args):
     with open(args.snapshot) as f:
         try:
             rows = [json.loads(line) for line in f if line.strip()]
-        except RecursionError:  # nested deeper than the JSON decoder recurses
+        except RecursionError:  # a line nested past the decoder's recursion limit
             raise ValueError("malformed dovetail registry snapshot") from None
     reg = enumeration.DovetailRegistry.from_rows(rows)
     groups = multiverse.dedup_universes(reg, args.prefix_len)

@@ -236,9 +236,10 @@ _NO_CAP = 1 << 63  # an output cap no run reaches
 # "1," at B = 200 (2-core host, Python 3.11, medians of 5 in one process)
 # depth 8 decides 71% of samples.  Depth 6 decides 58%: a call of 20,000
 # samples takes 12% less, but one of the 150,000 of the benchmark's sample
-# workload 6-7% more.  Depths 9 and 10 (80%) fill 3 and 8 times as many
-# heads, and take 11% and 31% longer on 150,000 samples, 25% and 37% on
-# 20,000.  At 1,000 samples all four take 1.5-1.8 ms.
+# workload 6-7% more.  Depth 9 decides no more than depth 8 and depth 10
+# 80%, but they fill 3 and 8 times as many heads, and take 11% and 31%
+# longer on 150,000 samples, 25% and 37% on 20,000.  At 1,000 samples all
+# four take 1.5-1.8 ms.
 _HEAD_DEPTH = 8
 
 # _sigma on each string of up to four symbols (it keeps any other chunk as is)
