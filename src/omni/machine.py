@@ -64,19 +64,27 @@ the whole subtree, since every extension replays it; the deaths are proofs:
   are the only register-sensitive branches, so the shifted replay makes
   the register climb forever).
 
-The FINITE walk also skips leaves that cannot be yielded: the cut.  A
-node waiting at its tape's end at ip resumes in each child by one
-instruction, at ip, on a tape that ends at ip + 2.  Unless that instruction
-is a taken LOOP, the child stops right after it, at the tape's end or at
-HALT, having printed at most grow = max(1, len(aux)) more symbols: one for
-an OUT, the aux tape for a T3C READAUX.  At register 0 no LOOP is taken
-(and a SKIPZ only moves further past the end); with ip + 4 > max_len the
-children are leaves; and a FINITE halt is yielded only when it printed
-exactly the cap.  So a node at register 0 with ip + 2 <= max_len < ip + 4
-that is more than grow symbols short of the cap gets no children.  max_len
-is the walk's current limit, which shrinks only when a witness is found,
-so the cut holds under shortest too.  A search with no witness at L = 10
-resumes 5,761 nodes of the tree's 13,591.
+The walk also skips leaves that cannot be yielded: the cut.  A node
+waiting at its tape's end at ip resumes in each child by one instruction,
+at ip, on a tape that ends at ip + 2.  Unless that instruction is a taken
+LOOP, the child stops right after it, at the tape's end, at HALT or at a
+wrong output symbol, having printed at most grow = max(1, len(aux)) more
+symbols: one for an OUT, the aux tape for a T3C READAUX.  At register 0 no
+LOOP is taken (and a SKIPZ only moves further past the end), and with
+ip + 4 > max_len the children are leaves.  So a node at register 0 with
+ip + 2 <= max_len < ip + 4 keeps only the children that could be yielded:
+
+* FINITE: a halt is yielded only when it printed exactly the cap, so a
+  node more than grow symbols short of the cap gets no children.
+* LAZY: only HALT halts, and the node stopped below the budget, so its
+  HALT child runs it: the node gets only the children whose last pair is
+  HALT, 1 of 9, or 9 of 81 after a SKIPZ past the tape's end.  They still
+  resume, so the budget and output checks stay in this loop.
+
+max_len is the walk's current limit, which shrinks only when a witness is
+found, so the cut holds under shortest too.  A search with no witness at
+L = 10 resumes 5,761 nodes of the tree's 13,591; the Kraft sum at L = 10
+and B = 200 resumes 16,945 of 37,441.
 
 A caller's list gets every node the walk resumes, with its stop and state:
 classes of programs that run alike, which prior's hosting check pairs up.
@@ -218,6 +226,8 @@ def check_inputs(max_steps: int, *texts: str) -> None:
 # a walk's tape and a suspended run's ip are even, so its next fetch needs
 # two more squares (four after a SKIPZ over the tape's end)
 _TAILS = {m: tuple(product((0, 1, 2), repeat=m))[::-1] for m in (2, 4)}
+# those whose last pair is HALT: the only children the LAZY cut keeps
+_HALTS = {m: tuple(t for t in tails if t[-2:] == (2, 1)) for m, tails in _TAILS.items()}
 
 # why _resume stopped
 _AT_END = "end"  # the next fetch reads past the end of the tape
@@ -378,7 +388,9 @@ def _witnesses(
     * LAZY: only a HALT node halts, and each is yielded: it is canonical,
       since a node resumes its parent's run only at the depth where the
       next fetch reads the last square.  cap = budget leaves T3 output
-      unlimited; with a target, each halt printed a prefix of it.
+      unlimited; with a target, each halt printed a prefix of it.  Without
+      nodes, the walk skips every leaf but the HALTs under a node at
+      register 0 one instruction short of max_len (the cut).
 
     With shortest, each node yielded is shorter than the one before, and
     the last is the shortlex-first.  Without it, a list as nodes gets
@@ -391,9 +403,13 @@ def _witnesses(
     over the tape's end moves two more.
     """
     finite = mode == FINITE
-    # the cut (module docstring): a node at register 0 keeps its leaves
-    # only if it printed at least cap - grow symbols; None keeps every node
-    cut = cap - max(1, len(aux or ())) if finite and nodes is None else None
+    # the cut (module docstring): a node at register 0 keeps all its
+    # leaves only if it printed at least cut symbols, and else none in
+    # FINITE and the HALTs in LAZY, where no run prints more than cap.
+    # None keeps every node
+    cut = cap - max(1, len(aux or ())) if finite else cap + 1
+    if nodes is not None:
+        cut = None
     tape = to_ints(prefix)
     depth = len(tape)
     if depth > max_len:
@@ -415,10 +431,11 @@ def _witnesses(
                 if shortest:
                     limit = depth - 1
             ip = state[0]
-            if why is end and ip + 2 <= limit and (
-                cut is None or state[1] or len(state[3]) >= cut or limit >= ip + 4
-            ):
-                stack += zip(_TAILS[ip + 2 - depth], repeat(state))
+            if why is end and ip + 2 <= limit:
+                if cut is None or state[1] or len(state[3]) >= cut or limit >= ip + 4:
+                    stack += zip(_TAILS[ip + 2 - depth], repeat(state))
+                elif not finite:
+                    stack += zip(_HALTS[ip + 2 - depth], repeat(state))
         if not stack:
             return
         squares, state = stack.pop()

@@ -284,10 +284,13 @@ _SHORTLEX = str.maketrans(",", "2")  # digit order 0 < 1 < ','
 def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     """Yield (program, output ints) of the canonical programs up to max_len
     whose output is a prefix of target (all of them without one), in one
-    lazy-mode walk (machine._witnesses), lexicographic for T3.  The DUAL
-    ones are ',' alone, then for each p of the T3 walk at budget - 1 (the
-    selector takes a step), '0' + p and '1' + machine._sigma(p), which both
-    print what p prints: run hosts sigma(sigma(p)) = p for the latter.
+    lazy-mode walk (machine._witnesses), lexicographic for T3.  The walk
+    resumes only the HALT children of a node at register 0 one instruction
+    short of max_len, since no other child can halt (the cut, in machine's
+    docstring).  The DUAL ones are ',' alone, then for each p of the T3
+    walk at budget - 1 (the selector takes a step), '0' + p and
+    '1' + machine._sigma(p), which both print what p prints: run hosts
+    sigma(sigma(p)) = p for the latter.
     """
     machine.check_inputs(budget)
     cap = budget if target is None else len(target)

@@ -69,6 +69,57 @@ def test_exact_sums_past_the_longest_program_cost_nothing():
     assert (exact.exact, exact.hits) == (want.exact, want.hits) == (Fraction(1, 81), 1)
 
 
+@pytest.mark.parametrize(
+    "max_len, budget, mass, count, short",
+    ((8, 5, Fraction(2279, 6561), 527, 526), (10, 7, Fraction(8053, 19683), 4175, 4172)),
+)
+def test_kraft_sums_are_whole_from_a_small_budget(max_len, budget, mass, count, short):
+    # a program canonical at B is canonical at every larger B, so the sum
+    # grows with B: whole from B = 5 at L = 8 and from B = 7 at L = 10
+    for b in (budget, 10**18):
+        rep = kraft_sum(max_len, b)
+        assert (rep.total_mass, rep.program_count) == (mass, count), b
+    rep = kraft_sum(max_len, budget - 1)
+    assert rep.total_mass < mass and rep.program_count == short
+
+
+# every string of up to four symbols, as the lazy walk's targets
+UP_TO_4 = [t for n in range(5) for t in itertools.product((0, 1, 2), repeat=n)]
+
+
+def test_lazy_cut_walk_yields_what_the_uncut_walk_yields():
+    # a nodes list turns the cut off: the uncut walk resumes every child
+    # of a node at register 0 one instruction short of the length cap,
+    # where the cut one resumes only the HALT children
+    for budget in (1, 2, 3, 7, 200):
+        walks = [(max_len, len(t), t) for t in UP_TO_4 for max_len in range(9)]
+        walks += [(max_len, budget, None) for max_len in range(11)]
+        for max_len, cap, t in walks:
+            args = (max_len, budget, cap, t)
+            cut = list(machine._witnesses(*args, mode=machine.LAZY))
+            uncut = list(machine._witnesses(*args, mode=machine.LAZY, nodes=[]))
+            assert cut == uncut, args
+
+
+def test_lazy_cut_halves_the_resumes_of_an_exact_sum(monkeypatch):
+    # at L = 10 and B = 200 a nodes list, which turns the cut off, resumes
+    # more than twice as many nodes
+    calls = []
+    resume = machine._resume
+    monkeypatch.setattr(machine, "_resume", lambda *a: calls.append(1) or resume(*a))
+    kraft_sum(10, 200)
+    assert len(calls) == 16945
+    calls.clear()
+    list(machine._witnesses(10, 200, 200, mode=machine.LAZY, nodes=[]))
+    assert len(calls) == 37441
+    calls.clear()
+    enumerate_prior("01", 10, 200)
+    assert len(calls) == 6573
+    calls.clear()
+    list(machine._witnesses(10, 200, 2, (0, 1), mode=machine.LAZY, nodes=[]))
+    assert len(calls) == 13429
+
+
 def test_kraft_monotone_and_bounded():
     masses = [kraft_sum(level, 500).total_mass for level in range(0, 9, 2)]
     assert all(a <= b for a, b in zip(masses, masses[1:]))
