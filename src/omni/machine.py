@@ -30,8 +30,10 @@ Variants:
            differ only in what they print, so _sigma(p) runs as p does with
            the two swapped.  run hosts the rest, or _sigma(rest) after a
            '1', on the one loop below, from _SELECTED (square 1, anchor 1,
-           one step spent): the selector, one fetch of one square, is the
-           whole cost of hosting T3.  An empty program runs as in T3.
+           one step spent), and prior's exact sums and hosting check walk
+           the '0' table from it too: the selector, one fetch of one
+           square, is the whole cost of hosting T3.  An empty program runs
+           as in T3.
 
 Run modes:
 
@@ -252,18 +254,13 @@ _NO_CAP = 1 << 63  # an output cap no run reaches
 # four take 1.5-1.8 ms.
 _HEAD_DEPTH = 8
 
-# _sigma on each string of up to four symbols (it keeps any other chunk as is)
-_SIGMA4 = {
-    q: "".join({"00": "01", "01": "00"}.get(q[i : i + 2], q[i : i + 2]) for i in (0, 2))
-    for n in range(5)
-    for q in map("".join, product(SYMBOLS, repeat=n))
-}
+_SWAP = {"00": "01", "01": "00"}  # _sigma keeps any other pair as is
 
 
 def _sigma(p: str) -> str:
     """DUAL's '1' table (see the module docstring)."""
-    chunks = [p[i : i + 4] for i in range(0, len(p), 4)]
-    return "".join(map(_SIGMA4.get, chunks, chunks))
+    pairs = [p[i : i + 2] for i in range(0, len(p), 2)]
+    return "".join(map(_SWAP.get, pairs, pairs))
 
 
 _START = (0, 0, 0, (), 0, 0, None)  # square 0, register 0, nothing printed

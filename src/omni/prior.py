@@ -287,10 +287,10 @@ def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     lazy-mode walk (machine._witnesses), lexicographic for T3.  The walk
     resumes only the HALT children of a node at register 0 one instruction
     short of max_len, since no other child can halt (the cut, in machine's
-    docstring).  The DUAL ones are ',' alone, then for each p of the T3
-    walk at budget - 1 (the selector takes a step), '0' + p and
-    '1' + machine._sigma(p), which both print what p prints: run hosts
-    sigma(sigma(p)) = p for the latter.
+    docstring).  The DUAL ones are ',' alone, then each p of a walk of
+    DUAL's '0' table from machine._SELECTED, the state run hosts it in,
+    and beside it '1' + sigma(p[1:]), which prints what p prints: run
+    hosts sigma(sigma(p[1:])) = p[1:].
     """
     machine.check_inputs(budget)
     cap = budget if target is None else len(target)
@@ -299,9 +299,11 @@ def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     elif variant == DUAL:
         if max_len >= 1:
             yield ",", ()
-        for p, out in machine._witnesses(max_len - 1, budget - 1, cap, target, mode=LAZY):
-            yield "0" + p, out
-            yield "1" + machine._sigma(p), out
+        for p, out in machine._witnesses(
+            max_len, budget, cap, target, prefix="0", start=machine._SELECTED, mode=LAZY
+        ):
+            yield p, out
+            yield "1" + machine._sigma(p[1:]), out
     else:
         raise ValueError(f"no canonical programs for variant {variant!r}")
 

@@ -397,3 +397,13 @@ def test_dual_mass_is_selectors_plus_two_thirds_of_t3():
                 case = (t, max_len, budget)
                 assert dual.exact == Fraction(s, 3) + Fraction(2, 3) * t3.exact, case
                 assert dual.hits == s + 2 * t3.hits, case
+
+
+def test_dual_sums_start_from_the_selected_state(monkeypatch):
+    # the exact sums host DUAL's tables from machine._SELECTED, as run does:
+    # a selector that costs no step leaves the hosted T3 all B steps
+    monkeypatch.setattr(machine, "_SELECTED", (1, 0, 1, (), 0, 0, None))
+    for max_len, budget in ((6, 2), (8, 3)):
+        t3 = kraft_sum(max_len - 1, budget).total_mass
+        dual = kraft_sum(max_len, budget, machine.DUAL).total_mass
+        assert dual == Fraction(1, 3) + Fraction(2, 3) * t3, (max_len, budget)
