@@ -56,6 +56,8 @@ def _sweeps():
     for n, c in ((1, 1), (2, 1), (3, 1), (4, 2)):
         yield ["census", "--n", str(n), "--c", str(c), "--max-len", "6", "--budget", "300"]
     yield ["census", "--n", "3", "--c", "1", "--max-len", "6", "--budget", "300", "--workers", "2"]
+    # 3^9012 has 4,300 digits, Python's default limit on printing an int
+    yield ["census", "--n", "9012", "--c", "1", "--max-len", "2", "--budget", "10"]
 
 
 def _runs():
@@ -117,6 +119,7 @@ def _failures():
         yield ["prior", "--target", "0", "--samples", "10", "--budget", "50", "--workers", workers]
         yield ["dovetail", "--steps", "64", "--workers", workers]
     yield ["dovetail", "--steps", "0"]
+    yield ["census", "--n", "9013", "--c", "1", "--max-len", "2", "--budget", "10"]
     yield ["dedup", "--snapshot", "{dir}/reg.jsonl", "--prefix-len", "999999"]
     yield ["dedup", "--snapshot", "{dir}/trace.jsonl", "--prefix-len", "2"]
     yield ["dedup", "--snapshot", "{dir}/missing.jsonl", "--prefix-len", "2"]
