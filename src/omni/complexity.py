@@ -23,12 +23,12 @@ in place of 6.3 ms (2-core host, Python 3.11).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 
 from .enumeration import programs
 from .machine import _witnesses, check_inputs, to_ints
-from .workers import parallel_map
 
 
 @dataclass
@@ -155,6 +155,19 @@ def compressibility_census(
     if n < 1 or c < 1:
         raise ValueError("n and c must be >= 1")
     check_inputs(budget)
+    # refuse a total the report cannot print: 3^n has more digits than the
+    # limit exactly when 3^n >= 10^digits, which every n > 3 * digits meets
+    # (27 > 10), so 3^n is computed only below that.  0 means no limit, as
+    # before Python 3.10.7
+    digits = getattr(sys, "get_int_max_str_digits", int)()
+    if digits and (n > 3 * digits or 3**n >= 10**digits):
+        raise ValueError(
+            f"n = {n}: 3^n has more than {digits} digits, the limit on"
+            " printing an int (sys.get_int_max_str_digits)"
+        )
+    # looked up at call time, so a wrapper of workers.parallel_map sees it
+    from .workers import parallel_map
+
     top = min(max_len, n - c - 1)
     subtrees = parallel_map(
         partial(_census_outputs, n, top, budget), programs(2, min_len=2), workers

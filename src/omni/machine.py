@@ -83,10 +83,10 @@ ip + 2 <= max_len < ip + 4 keeps only the children that could be yielded:
   HALT, 1 of 9, or 9 of 81 after a SKIPZ past the tape's end.  They still
   resume, so the budget and output checks stay in this loop.
 
-max_len is the walk's current limit, which shrinks only when a witness is
-found, so the cut holds under shortest too.  A search with no witness at
-L = 10 resumes 5,761 nodes of the tree's 13,591; the Kraft sum at L = 10
-and B = 200 resumes 16,945 of 37,441.
+max_len is the walk's current limit; under shortest a witness lowers it
+and drops the pending nodes past it, so the cut holds there too.  A
+search with no witness at L = 10 resumes 5,761 nodes of the tree's
+13,591; the Kraft sum at L = 10 and B = 200 resumes 16,945 of 37,441.
 
 A caller's list gets every node the walk resumes, with its stop and state:
 classes of programs that run alike, which prior's hosting check pairs up.
@@ -390,14 +390,15 @@ def _witnesses(
       register 0 one instruction short of max_len (the cut).
 
     With shortest, each node yielded is shorter than the one before, and
-    the last is the shortlex-first.  Without it, a list as nodes gets
-    (program, why, state) for each node the walk resumes.  A node waiting
-    at its tape's end (_AT_END) with ip + 2 <= max_len has children; the
-    rest are leaves.  Every program under a node, up to max_len symbols
-    (up to ip + 1 if it waits), runs as the node's run; in LAZY mode so
-    does every tape that starts with a leaf.  A waiting leaf can be up to
-    three squares short of max_len: a fetch reads two squares, and a SKIPZ
-    over the tape's end moves two more.
+    the last is the shortlex-first: a witness lowers the limit below it and
+    drops the pending nodes past it.  A list as nodes gets (program, why,
+    state) for each node the walk resumes.  A node waiting at its tape's
+    end (_AT_END) with ip + 2 <= max_len has children; the rest are leaves.
+    Every program under a node, up to max_len symbols (up to ip + 1 if it
+    waits), runs as the node's run; in LAZY mode so does every tape that
+    starts with a leaf.  A waiting leaf can be up to three squares short of
+    max_len: a fetch reads two squares, and a SKIPZ over the tape's end
+    moves two more.
     """
     finite = mode == FINITE
     # the cut (module docstring): a node at register 0 keeps all its
@@ -427,6 +428,7 @@ def _witnesses(
                 yield to_str(tape), state[3]
                 if shortest:
                     limit = depth - 1
+                    stack = [(sq, st) for sq, st in stack if st[0] + 2 <= limit]
             ip = state[0]
             if why is end and ip + 2 <= limit:
                 if cut is None or state[1] or len(state[3]) >= cut or limit >= ip + 4:
@@ -437,11 +439,8 @@ def _witnesses(
             return
         squares, state = stack.pop()
         depth = state[0] + 2
-        if depth > limit:  # a shorter witness was found since the push
-            why = None
-        else:
-            tape[depth - len(squares) :] = squares
-            why, state = _resume(tape, budget, cap, target, aux, state)
+        tape[depth - len(squares) :] = squares
+        why, state = _resume(tape, budget, cap, target, aux, state)
 
 
 def run(

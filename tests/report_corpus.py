@@ -7,7 +7,9 @@ of the sha256 of (exit code, stdout, the --out or --trace file), the exit
 code, and the argv.
 "{dir}" in an argv stands for a scratch directory shared by the whole run, so
 `dedup` can read the snapshot a `dovetail --out` row wrote before it; no
-path enters a digest.  OMNI_SEED is removed from the environment first.
+path enters a digest.  OMNI_SEED is removed from the environment first,
+and the limit on printing an int is set to Python's default, 4,300 digits,
+which the census rows at n = 9012 and 9013 straddle.
 
     PYTHONPATH=src python tests/report_corpus.py
 
@@ -171,10 +173,13 @@ def row(argv, workdir) -> str:
 def rows() -> list[str]:
     """The table's lines as this tree reports them, in ARGV order."""
     saved = os.environ.pop("OMNI_SEED", None)
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
     try:
         with tempfile.TemporaryDirectory() as workdir:
             return [row(argv, workdir) for argv in ARGV]
     finally:
+        sys.set_int_max_str_digits(digits)
         if saved is not None:
             os.environ["OMNI_SEED"] = saved
 

@@ -42,6 +42,7 @@ def test_benchmark_wrappers_install_count_and_restore():
         trace = om.ssa.run_learner(om.ssa.SwitchingBandit(10), 200, 0, record_steps=False)
         reg = om.enumeration.dovetail(64)
         om.multiverse.dedup_universes(reg, 2)
+        om.complexity.compressibility_census(3, 1, 1, 10)
     finally:
         inst.restore()
     assert {m: dict(vars(getattr(om, m))) for m in run.MODULES} == before
@@ -54,3 +55,6 @@ def test_benchmark_wrappers_install_count_and_restore():
     assert set(trace.events) <= {"begin", "end", "pop", "noop", "final"}
     assert counts["enumeration.dovetail.programs"] == len(reg.entries)
     assert counts["multiverse.dedup.groups"] > 0
+    # the dovetail's 7 items and the census's nine two-symbol subtrees: the
+    # census imports parallel_map at call time, so the wrapper sees it
+    assert counts["workers.items"] == 7 + 9

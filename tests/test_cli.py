@@ -288,6 +288,27 @@ def test_census(capsys):
     assert payload["total"] == 9 and payload["fraction"] == 0.0
 
 
+def test_census_refuses_an_n_whose_total_cannot_be_printed(capsys, monkeypatch):
+    # 3^9012 has 4,300 digits, the default limit on printing an int, and
+    # 3^9013 one more: the census refuses that n, naming the limit, before
+    # it fans out its walk
+    from omni import workers
+
+    argv = ["--c", "1", "--max-len", "2", "--budget", "10"]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        total = run_json(capsys, "census", "--n", "9012", *argv)["total"]
+        assert len(str(total)) == 4300
+        monkeypatch.setattr(workers, "parallel_map", None)
+        code = cli.main(["census", "--n", "9013", *argv])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "more than 4300 digits" in err and "get_int_max_str_digits" in err
+
+
 def test_kcomp_and_cond(capsys):
     payload = run_json(
         capsys, "kcomp", "--target", "0", "--max-len", "4", "--budget", "100"

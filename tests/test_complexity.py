@@ -204,3 +204,34 @@ def test_cut_halves_the_resumes_of_a_whole_tree_search(monkeypatch):
     t = tuple(machine.to_ints("101,00"))
     assert list(machine._witnesses(10, 10**4, len(t), t, shortest=True, nodes=[])) == []
     assert len(calls) == 13591
+
+
+_STOPS = {
+    machine._AT_END,
+    machine._AT_HALT,
+    machine._BAD_OUTPUT,
+    machine._AT_BUDGET,
+    machine._IN_LOOP,
+}
+
+
+@pytest.mark.parametrize(
+    "target, aux", (("0", None), ("00000", None), ("101,00", None), ("0", "0"))
+)
+def test_shortest_walk_records_only_the_nodes_it_resumes(target, aux):
+    # a witness lowers the limit and the pending nodes past it leave the
+    # stack, so each record is a node that ran, once, and each witness is
+    # shorter than the last: under T3C with aux "0", ",," prints the target
+    # as "00" does; "101,00" has no witness at L = 10
+    t = tuple(machine.to_ints(target))
+    a = None if aux is None else tuple(machine.to_ints(aux))
+    nodes = []
+    walked = list(machine._witnesses(10, 1000, len(t), t, a, shortest=True, nodes=nodes))
+    assert walked == list(machine._witnesses(10, 1000, len(t), t, a, shortest=True))
+    lengths = [len(p) for p, _ in walked]
+    assert lengths == sorted(set(lengths), reverse=True)
+    assert {why for _, why, _ in nodes} <= _STOPS
+    programs = [p for p, _, _ in nodes]
+    assert len(set(programs)) == len(programs)
+    if target == "0":
+        assert programs == ["", "00"]
