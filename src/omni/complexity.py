@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .enumeration import programs
-from .machine import _witnesses, check_inputs, to_ints
+from .machine import _report, _witnesses, check_inputs, to_ints
 
 
 @dataclass
@@ -41,14 +41,7 @@ class ComplexityBound:
     conditional_on: str | None = None
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "k_hat": self.k_hat,
-            "witness": self.witness,
-            "L": self.max_len,
-            "B": self.budget,
-            "conditional_on": self.conditional_on,
-        }
+        return _report(self)
 
 
 def _first_witness(s, max_len, budget, cond=None) -> ComplexityBound:
@@ -124,15 +117,7 @@ class CensusReport:
     budget: int
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "c": self.c,
-            "total": self.total,
-            "compressible": self.compressible,
-            "fraction": self.fraction,
-            "L": self.max_len,
-            "B": self.budget,
-        }
+        return _report(self)
 
 
 def _census_outputs(n, max_len, budget, prefix):

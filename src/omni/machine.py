@@ -153,7 +153,7 @@ cap, only those whose output is a prefix of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import product, repeat
 
 SYMBOLS = "01,"
@@ -192,13 +192,19 @@ class RunResult:
         return self.status == HALTED
 
     def to_json(self) -> dict:
-        return {
-            "program": self.program,
-            "output": self.output,
-            "status": self.status,
-            "consumed": self.consumed,
-            "steps": self.steps,
-        }
+        return _report(self, "truncated")
+
+
+_KEYS = {"max_len": "L", "budget": "B"}  # the report keys that differ from their field
+
+
+def _report(obj, *skip) -> dict:
+    """A report's JSON: the dataclass obj's fields in order, each under its
+    own name or its _KEYS key, less those named in skip.  A dict merged in
+    with | replaces a field's value in place and appends its other keys."""
+    return {
+        _KEYS.get(f.name, f.name): getattr(obj, f.name) for f in fields(obj) if f.name not in skip
+    }
 
 
 def to_ints(s: str) -> list[int]:

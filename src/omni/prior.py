@@ -52,7 +52,7 @@ from functools import partial
 
 from . import machine
 from .enumeration import programs
-from .machine import DUAL, LAZY, T3, run, to_str
+from .machine import DUAL, LAZY, T3, _report, run, to_str
 from .workers import parallel_map
 
 _MIX1 = 0x9E3779B97F4A7C15  # splitmix64's increment (the golden gamma)
@@ -113,27 +113,18 @@ def _wilson_upper(hits: int, n: int) -> float:
 @dataclass
 class PriorEstimate:
     target: str
-    p_hat: float
     method: str  # "mc" or "enum"
+    p_hat: float
+    stderr: float | None
     samples: int | None
     max_len: int | None
     budget: int
     hits: int
-    stderr: float | None
     exact: Fraction | None = None
     p_upper: float | None = None  # Monte Carlo only: 95% Wilson upper bound
 
     def to_json(self) -> dict:
-        report = {
-            "target": self.target,
-            "method": self.method,
-            "p_hat": self.p_hat,
-            "stderr": self.stderr,
-            "samples": self.samples,
-            "L": self.max_len,
-            "B": self.budget,
-            "hits": self.hits,
-        }
+        report = _report(self, "exact", "p_upper")
         if self.method == "mc":
             report["p_upper"] = self.p_upper
             report["rng"] = _RNG
@@ -266,8 +257,7 @@ def estimate_prior_mc_batch(
         p = hits / samples
         err = math.sqrt(p * (1.0 - p) / samples)
         result[t] = PriorEstimate(
-            t, p, "mc", samples, None, budget, hits, err,
-            p_upper=_wilson_upper(hits, samples),
+            t, "mc", p, err, samples, None, budget, hits, p_upper=_wilson_upper(hits, samples)
         )
     return result
 
@@ -337,7 +327,7 @@ def enumerate_prior(
     lengths = Counter(len(p) for p, out in walked if len(out) == len(goal))
     mass = _mass(lengths)
     return PriorEstimate(
-        target, float(mass), "enum", None, max_len, budget, lengths.total(), None, mass
+        target, "enum", float(mass), None, None, max_len, budget, lengths.total(), mass
     )
 
 
@@ -349,12 +339,7 @@ class KraftReport:
     budget: int
 
     def to_json(self) -> dict:
-        return {
-            "total_mass": float(self.total_mass),
-            "program_count": self.program_count,
-            "L": self.max_len,
-            "B": self.budget,
-        }
+        return _report(self) | {"total_mass": float(self.total_mass)}
 
 
 def kraft_sum(max_len: int, budget: int, variant: str = T3) -> KraftReport:
@@ -373,13 +358,7 @@ class GapEntry:
     gap: float | None
 
     def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "k_hat": self.k_hat,
-            "k_canonical": self.k_canonical,
-            "mass": self.mass,
-            "gap": self.gap,
-        }
+        return _report(self)
 
 
 @dataclass
@@ -394,9 +373,7 @@ class GapReport:
 
     def to_json(self) -> dict:
         gaps = self.gaps
-        return {
-            "L": self.max_len,
-            "B": self.budget,
+        return _report(self, "entries") | {
             "targets": [e.to_json() for e in self.entries],
             "min_gap": min(gaps) if gaps else None,
             "max_gap": max(gaps) if gaps else None,
@@ -451,15 +428,7 @@ class CompilerCheckReport:
         return not self.output_counterexamples and not self.mass_counterexamples
 
     def to_json(self) -> dict:
-        return {
-            "L": self.max_len,
-            "B": self.budget,
-            "outputs_checked": self.outputs_checked,
-            "output_counterexamples": self.output_counterexamples,
-            "targets_checked": self.targets_checked,
-            "mass_counterexamples": self.mass_counterexamples,
-            "ok": self.ok,
-        }
+        return _report(self) | {"ok": self.ok}
 
 
 def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:

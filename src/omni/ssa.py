@@ -178,9 +178,6 @@ class SwitchingBandit:
 
     state = STATE
 
-    def good_arm(self, t: int) -> str:
-        return _ARMS[(t // self.period) % 2]
-
     def act(self, action: str) -> float:
         reward = 1.0 if action == _ARMS[(self.t // self.period) % 2] else 0.0
         self.t += 1

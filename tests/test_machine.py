@@ -76,6 +76,9 @@ def test_loop_without_mark_jumps_to_program_start():
 def test_output_cap_truncates():
     r = run("1010,,000000000011,0", 10_000, out_cap=4)
     assert r.output == "0000" and r.truncated
+    # its report leaves the flag out; no report corpus row reaches this,
+    # since omni run refuses a truncated run
+    assert list(r.to_json()) == ["program", "output", "status", "consumed", "steps"]
 
 
 def test_output_cap_bounds_the_stored_output():

@@ -315,7 +315,7 @@ def test_coding_gap_prices_a_halting_witness_as_its_own_canonical_form(monkeypat
 
     def record_level(target, level, budget):
         levels.append(level)
-        return prior.PriorEstimate(target, 1.0, "enum", None, level, budget, 1, None, Fraction(1))
+        return prior.PriorEstimate(target, "enum", 1.0, None, None, level, budget, 1, Fraction(1))
 
     monkeypatch.setattr(complexity, "shortest_program_upper_bound", record_search)
     monkeypatch.setattr(prior, "enumerate_prior", record_level)
@@ -397,6 +397,24 @@ def test_dual_mass_is_selectors_plus_two_thirds_of_t3():
                 case = (t, max_len, budget)
                 assert dual.exact == Fraction(s, 3) + Fraction(2, 3) * t3.exact, case
                 assert dual.hits == s + 2 * t3.hits, case
+
+
+def test_hosting_check_weights_are_twice_t3_plus_the_selector():
+    # compiler_prefix_check's weight tables, T3's in units of 3^-L and
+    # DUAL's in units of 3^-(L+1), are tied by the equality above for every
+    # output, where the check asks only DUAL >= T3: "0"+p and "1"+p carry
+    # p's weight each, and "," adds 3^L to the empty output
+    for max_len in range(9):
+        for budget in (1, 2, 3, 5, 7, 200):
+            t3_w = Counter()
+            for p, out in canonical_programs(max_len, budget):
+                t3_w[out] += 3 ** (max_len - len(p))
+            dual_w = Counter()
+            for p, out in canonical_programs(max_len + 1, budget + 1, machine.DUAL):
+                dual_w[out] += 3 ** (max_len + 1 - len(p))
+            expected = Counter({out: 2 * w for out, w in t3_w.items()})
+            expected[""] += 3**max_len
+            assert dual_w == expected, (max_len, budget)
 
 
 def test_dual_sums_start_from_the_selected_state(monkeypatch):

@@ -119,8 +119,10 @@ def test_switching_bandit_schedule():
     env = SwitchingBandit(3)
     rewards = [env.act("arm0") for _ in range(6)]
     assert rewards == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
-    assert env.good_arm(0) == "arm0" and env.good_arm(3) == "arm1"
     assert env.t == 6  # every action advanced the clock
+    # arm1 pays while t // period is odd, at t = 3..5
+    arm1 = SwitchingBandit(3)
+    assert [arm1.act("arm1") for _ in range(6)] == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
     env.act("wait")
     assert env.t == 7
     with pytest.raises(ValueError):
