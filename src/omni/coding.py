@@ -143,35 +143,30 @@ def arithmetic_roundtrip(
 
     Returns (encoded bit string, decoded states).  The decoder is driven
     from the encoded bits alone (the length of the sequence travels out of
-    band).  Raises ZeroProbabilityError exactly where shannon_code_length
-    would.
+    band).  The encoding loop raises ZeroProbabilityError at the first step
+    whose state is outside the alphabet or has a quantized frequency of 0,
+    which is the step shannon_code_length names.  The encoder builds each
+    context's row on its first use, so an unused row never fails, and the
+    decoder, meeting the same contexts, reads those rows.
     """
     model.validate()
     if not states:
         return "", []
     index = {s: i for i, s in enumerate(model.alphabet)}
-    for i, s in enumerate(states):
-        if s not in index:
-            raise ZeroProbabilityError(i, states[i - 1] if i else None, s)
-
     rows: dict[str | None, list[int]] = {}  # one row per context, shared by both passes
-
-    def row_for(prev: str | None) -> list[int]:
-        # called on a context's first use only, so an unused row never fails
-        if prev is None:
-            probs = [model.initial_prob(s) for s in model.alphabet]
-        else:
-            probs = [model.transition_prob(prev, s) for s in model.alphabet]
-        rows[prev] = row = _freq_row(probs)
-        return row
-
     encoded_bits: list[str] = []
     low, high, pending = 0, _MASK, 0
     prev: str | None = None
     for i, s in enumerate(states):
-        cum = rows.get(prev) or row_for(prev)
-        j = index[s]
-        if cum[j + 1] == cum[j]:
+        cum = rows.get(prev)
+        if cum is None:
+            if prev is None:
+                probs = [model.initial_prob(t) for t in model.alphabet]
+            else:
+                probs = [model.transition_prob(prev, t) for t in model.alphabet]
+            rows[prev] = cum = _freq_row(probs)
+        j = index.get(s)
+        if j is None or cum[j + 1] == cum[j]:
             raise ZeroProbabilityError(i, prev, s)
         rng = high - low + 1
         high = low + cum[j + 1] * rng // cum[-1] - 1
@@ -202,7 +197,7 @@ def arithmetic_roundtrip(
     decoded: list[str] = []
     prev = None
     for _ in range(len(states)):
-        cum = rows.get(prev) or row_for(prev)
+        cum = rows[prev]
         total = cum[-1]
         rng = high - low + 1
         sym = bisect_right(cum, ((code - low + 1) * total - 1) // rng) - 1

@@ -62,7 +62,8 @@ def _program_range(start: int, stop: int):
 
 def program_to_index(program: str) -> int:
     """The k with index_to_program(k) == program: the bijective base-3
-    digits d + 1 read back, most significant first."""
+    digits d + 1 read back, most significant first.  Sorting programs by
+    it sorts them in shortlex order."""
     k = 1
     for d in machine.to_ints(program):
         k = 3 * k + d - 1
@@ -137,7 +138,8 @@ class DovetailRegistry:
         """The registry whose snapshot_rows() are rows, as read back from
         JSON; ValueError when rows are not such a snapshot: an index given
         twice, an index below 1, a program that is not A_k, or an output
-        prefix longer than the header's cap included."""
+        prefix longer than the header's cap or with a symbol outside
+        machine.SYMBOLS included."""
         if not rows or not isinstance(rows[0], dict) or rows[0].get("kind") != _SNAPSHOT_KIND:
             raise ValueError("snapshot is not a dovetail registry")
         head, body = rows[0], rows[1:]
@@ -149,6 +151,7 @@ class DovetailRegistry:
                 row["k"] >= 1
                 and row["program"] == index_to_program(row["k"])
                 and len(row["output_prefix"]) <= head["cap"]
+                and set(machine.SYMBOLS).issuperset(row["output_prefix"])
                 for row in body
             )
         ):

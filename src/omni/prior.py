@@ -51,7 +51,7 @@ from fractions import Fraction
 from functools import partial
 
 from . import machine
-from .enumeration import programs
+from .enumeration import program_to_index, programs
 from .machine import DUAL, LAZY, T3, _report, run, to_str
 from .workers import parallel_map
 
@@ -268,9 +268,6 @@ def estimate_prior_mc(
     return estimate_prior_mc_batch([target], samples, budget, seed, workers)[target]
 
 
-_SHORTLEX = str.maketrans(",", "2")  # digit order 0 < 1 < ','
-
-
 def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
     """Yield (program, output ints) of the canonical programs up to max_len
     whose output is a prefix of target (all of them without one), in one
@@ -300,13 +297,13 @@ def _walk(max_len: int, budget: int, variant: str, target: tuple | None = None):
 
 def canonical_programs(max_len: int, budget: int, variant: str = T3):
     """Yield (program, output) over canonical programs up to max_len,
-    shortlex order: one walk (_walk), sorted by length, then digits.
+    shortlex order: one walk (_walk), sorted by enumeration index.
 
     Raises ValueError for a budget below 1 and for variants other than T3
     and DUAL.
     """
     walked = [(p, to_str(out)) for p, out in _walk(max_len, budget, variant)]
-    yield from sorted(walked, key=lambda item: (len(item[0]), item[0].translate(_SHORTLEX)))
+    yield from sorted(walked, key=lambda item: program_to_index(item[0]))
 
 
 def _mass(lengths: Counter) -> Fraction:
@@ -468,7 +465,7 @@ def compiler_prefix_check(max_len: int, budget: int) -> CompilerCheckReport:
             q = p + tail
             if not agree and run(q, budget).output != run("0" + q, budget + 1, variant=DUAL).output:
                 out_bad.append(q)
-    out_bad.sort(key=lambda q: (len(q), q.translate(_SHORTLEX)))
+    out_bad.sort(key=program_to_index)
 
     # masses per output as integers: T3 in units of 3^-top, DUAL in units
     # of 3^-(top+1), so a third of the T3 mass is t3_w in DUAL units

@@ -115,10 +115,6 @@ def arithmetic_roundtrip(states, model):
     if not states:
         return "", []
     index = {s: i for i, s in enumerate(model.alphabet)}
-    for i, s in enumerate(states):
-        if s not in index:
-            raise ZeroProbabilityError(i, states[i - 1] if i else None, s)
-
     rows = {}
 
     def row_for(prev):
@@ -134,8 +130,8 @@ def arithmetic_roundtrip(states, model):
     prev = None
     for i, s in enumerate(states):
         cum = row_for(prev)
-        j = index[s]
-        if cum[j + 1] == cum[j]:
+        j = index.get(s)
+        if j is None or cum[j + 1] == cum[j]:
             raise ZeroProbabilityError(i, prev, s)
         enc.encode(cum[j], cum[j + 1], cum[-1])
         prev = s

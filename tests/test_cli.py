@@ -281,6 +281,26 @@ def test_dedup_rejects_an_output_prefix_longer_than_the_cap(tmp_path, capsys):
     assert _dedup_one_row(tmp_path, capsys, output_prefix="0" * 65) == (2, "")
 
 
+def test_dedup_rejects_an_output_prefix_with_a_foreign_symbol(tmp_path, capsys):
+    # a halted A_2 printing "0" would pool with an unhalted A_3 printing
+    # "0$" at prefix length 3, though a finished short universe never pools
+    # with unfinished ones
+    head = {
+        "schema": 1, "kind": "dovetail-registry", "cap": 64,
+        "requested_steps": 10, "executed_steps": 2, "mode": "finite",
+    }
+    rows = [
+        head,
+        {"k": 2, "program": "0", "steps": 1, "halted": True, "output_prefix": "0", "truncated": False},
+        {"k": 3, "program": "1", "steps": 1, "halted": False, "output_prefix": "0$", "truncated": False},
+    ]
+    snap = tmp_path / "foreign.jsonl"
+    snap.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    code = cli.main(["dedup", "--snapshot", str(snap), "--prefix-len", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "malformed dovetail registry snapshot" in err
+
+
 def test_census(capsys):
     payload = run_json(
         capsys, "census", "--n", "2", "--c", "1", "--max-len", "4", "--budget", "100"
@@ -491,12 +511,17 @@ def test_python_m_omni_cli_exits_with_mains_code(capsys):
     assert python_m("run", "--program", "0x1") == (2, "")
 
 
+def _readme_blocks(lang):
+    """The text of each README code block fenced as lang."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(rf"```{lang}\n(.*?)```", readme, re.S)
+
+
 def _readme_cli_examples():
     """(argv, expected stdout) of each README sh block whose first line is
     a "$ omni ..." command."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     examples = []
-    for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+    for block in _readme_blocks("sh"):
         command, _, out = block.partition("\n")
         if command.startswith("$ omni "):
             examples.append((shlex.split(command)[2:], out))
@@ -508,3 +533,10 @@ def test_readme_cli_examples_print_what_they_show(capsys):
     assert {"run", "kcomp"} <= {argv[0] for argv, _ in examples}
     for argv, out in examples:
         assert run_cli(capsys, *argv) == (0, out), argv
+
+
+def test_readme_python_blocks_run():
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 
@@ -258,7 +259,7 @@ def test_roundtrip_matches_reference_on_a_long_repeat():
 
 @pytest.mark.parametrize(
     "states",
-    (["0", "0", "1"], ["0"] * 500 + ["1"], ["1", "0"], ["0", "2"], ["2"]),
+    (["0", "0", "1"], ["0"] * 500 + ["1"], ["1", "0"], ["0", "2"], ["2"], ["0", "1", "2"]),
 )
 def test_zero_probability_error_matches_reference(states):
     # the stay-only chain forbids every switch; "2" is outside the alphabet
@@ -269,3 +270,26 @@ def test_zero_probability_error_matches_reference(states):
             code(states, model)
         errors.append((exc.value.step, exc.value.prev, exc.value.nxt, str(exc.value)))
     assert errors[0] == errors[1]
+
+
+def _first_zero_step(code, states, model):
+    try:
+        code(states, model)
+    except ZeroProbabilityError as exc:
+        return exc.step, exc.prev, exc.nxt
+    return None
+
+
+def test_roundtrip_fails_where_shannon_length_does_on_a_grid():
+    # stay-only, switch-only and a mixing chain over 0 and 1, and every
+    # sequence of 1-6 states from 0, 1 and the foreign state 2: 3,276 cases
+    models = [_self_loop_model(1.0), _self_loop_model(0.0), _self_loop_model(0.9)]
+    mismatches = [
+        (model.transitions, states)
+        for model in models
+        for n in range(1, 7)
+        for states in map(list, itertools.product("012", repeat=n))
+        if _first_zero_step(arithmetic_roundtrip, states, model)
+        != _first_zero_step(shannon_code_length, states, model)
+    ]
+    assert mismatches == []
