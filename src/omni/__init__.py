@@ -63,7 +63,6 @@ from .prior import (
 from .ssa import (
     ACTIONS,
     LearnerTrace,
-    Policy,
     SwitchingBandit,
     apply_pla,
     run_learner,

@@ -239,8 +239,8 @@ def _entropy(args):
 
 
 def _ssa(args):
-    if args.period < 1 or args.lifetime < 1:
-        raise ValueError("need period >= 1 and lifetime >= 1")
+    if args.lifetime < 1:  # SwitchingBandit refuses a bad period
+        raise ValueError("lifetime must be >= 1")
     seed = _seed(args)
     env = ssa.SwitchingBandit(args.period)
     # the trace file opens before the lifetime runs, so a bad path fails at once

@@ -92,26 +92,17 @@ def floor_renormalize(vec: list[float], floor: float = PROB_FLOOR) -> list[float
     return out
 
 
-class Policy:
-    """Per-state probability vector over ACTIONS."""
-
-    def __init__(self, vectors: dict[str, list[float]]):
-        self.vectors = vectors
-
-    @classmethod
-    def uniform(cls) -> "Policy":
-        n = len(ACTIONS)
-        return cls({STATE: [1.0 / n] * n})
-
-
-def apply_pla(policy: Policy, state: str, action: str, gamma: float) -> list[float]:
-    """Multiply one action's probability by gamma (clamped to [1/4, 4]) and
+def apply_pla(
+    policy: dict[str, list[float]], state: str, action: str, gamma: float
+) -> list[float]:
+    """Multiply one action's probability in policy[state], the policy a
+    {state: vector} dict, by gamma (clamped to [1/4, 4]) and
     floor-renormalize.  Returns the exact pre-edit vector for rollback."""
     gamma = min(_GAMMA_MAX, max(_GAMMA_MIN, gamma))
-    old = list(policy.vectors[state])
+    old = list(policy[state])
     vec = list(old)
     vec[_ACTION_INDEX[action]] *= gamma
-    policy.vectors[state] = floor_renormalize(vec)
+    policy[state] = floor_renormalize(vec)
     return old
 
 
@@ -120,7 +111,6 @@ class StackEntry:
     s: int  # step count when opened
     reward_at: float  # cumulative reward at that point
     modifications: list[tuple[str, list[float]]] = field(default_factory=list)
-    e: int | None = None  # step count when closed, None while open (run_learner sets none)
 
 
 def ssc_holds(t: int, reward_t: float, checkpoints: list[tuple[int, float]]) -> bool:
@@ -151,17 +141,18 @@ def _story_length(t: int, reward_t: float, checkpoints: list[tuple[int, float]])
 
 
 def ssc_evaluate(
-    stack: list[StackEntry], t: int, reward_t: float, policy: Policy
+    stack: list[StackEntry], t: int, reward_t: float, policy: dict[str, list[float]]
 ) -> int:
     """Pop checkpoints, newest first, until the criterion holds for what is
-    left, rolling back each popped entry's edits in reverse order.  Returns
-    the number popped, found in one pass along the chain."""
+    left, rolling back each popped entry's edits in reverse order into
+    policy, the {state: vector} dict they were made in.  Returns the number
+    popped, found in one pass along the chain."""
     keep = _story_length(t, reward_t, [(en.s, en.reward_at) for en in stack])
     popped = len(stack) - keep
     while len(stack) > keep:
         entry = stack.pop()
         for state, vec in reversed(entry.modifications):
-            policy.vectors[state] = vec
+            policy[state] = vec
     return popped
 
 
@@ -238,9 +229,9 @@ class LearnerTrace:
         }
 
 
-def _rows(policy: Policy) -> dict[str, list[float]]:
+def _rows(policy: dict[str, list[float]]) -> dict[str, list[float]]:
     """Each state's running sums of its vector, the rows a step bisects."""
-    return {s: list(accumulate(v)) for s, v in policy.vectors.items()}
+    return {s: list(accumulate(v)) for s, v in policy.items()}
 
 
 def run_learner(
@@ -256,7 +247,7 @@ def run_learner(
     if total_steps < 1:
         raise ValueError("total_steps must be >= 1")
     draw = random.Random(seed).random
-    policy = Policy.uniform()
+    policy = {STATE: [1.0 / len(ACTIONS)] * len(ACTIONS)}
     rows = _rows(policy)
     last = len(ACTIONS) - 1
     stack: list[StackEntry] = []
@@ -286,7 +277,7 @@ def run_learner(
             events.append("noop")
         elif kind == _EDIT:
             opened.modifications.append((state, apply_pla(policy, state, target, gamma)))
-            rows[state] = list(accumulate(policy.vectors[state]))
+            rows[state] = list(accumulate(policy[state]))
         else:
             # a begin, or the end of the open checkpoint: close it and
             # judge the story
@@ -315,7 +306,7 @@ def run_learner(
         actions=actions,
         rewards=rewards,
         events=events,
-        final_policy={s: list(v) for s, v in policy.vectors.items()},
+        final_policy={s: list(v) for s, v in policy.items()},
         story=[(en.s, en.reward_at) for en in stack],
         pops=pops,
     )

@@ -128,7 +128,7 @@ def test_criterion_08_enumeration_bijection():
 def test_criterion_09_ssc_engine():
     start = time.time()
     rng = random.Random(11)
-    policy = ssa.Policy.uniform()
+    policy = {"B": [1.0 / 15] * 15}
     stack = []
     snapshots = {}  # id(entry) -> policy vectors at push
     t, reward = 0, 0.0
@@ -137,10 +137,9 @@ def test_criterion_09_ssc_engine():
         t += 1
         reward += rng.random() < 0.3
         move = rng.random()
-        open_entry = stack[-1] if stack and stack[-1].e is None else None
+        open_entry = stack[-1] if stack else None  # every entry below the top is closed
         if move < 0.25:
             if open_entry is not None:
-                open_entry.e = t
                 before = len(stack)
                 ssa.ssc_evaluate(stack, t, reward, policy)
                 popped = before - len(stack)
@@ -149,9 +148,9 @@ def test_criterion_09_ssc_engine():
                 assert ssa.ssc_holds(t, reward, [(en.s, en.reward_at) for en in stack])
                 if popped:
                     oldest = before - popped  # index of deepest popped entry
-                    assert policy.vectors == snapshots[oldest]
+                    assert policy == snapshots[oldest]
             entry = ssa.StackEntry(t, reward)
-            snapshots[len(stack)] = {s: list(v) for s, v in policy.vectors.items()}
+            snapshots[len(stack)] = {s: list(v) for s, v in policy.items()}
             stack.append(entry)
         elif move < 0.75 and open_entry is not None:
             action = ssa.ACTIONS[rng.randrange(15)]

@@ -459,6 +459,14 @@ def test_ssa_bad_trace_path_exits_2_before_the_run(tmp_path, capsys, monkeypatch
     assert code == 2 and out == ""
 
 
+@pytest.mark.parametrize("period, lifetime", [(0, 100), (50, 0)])
+def test_ssa_bad_period_or_lifetime_writes_no_trace(tmp_path, capsys, period, lifetime):
+    trace = tmp_path / "trace.jsonl"
+    argv = ["--period", str(period), "--lifetime", str(lifetime), "--trace", str(trace)]
+    assert run_cli(capsys, "ssa", *argv) == (2, "")
+    assert not trace.exists()
+
+
 def test_ssa_respects_omni_seed(capsys, monkeypatch):
     base = run_json(capsys, "ssa", "--period", "20", "--lifetime", "200", "--seed", "8")
     monkeypatch.setenv("OMNI_SEED", "8")

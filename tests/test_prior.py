@@ -83,6 +83,18 @@ def test_kraft_sums_are_whole_from_a_small_budget(max_len, budget, mass, count, 
     assert rep.total_mass < mass and rep.program_count == short
 
 
+@pytest.mark.parametrize(
+    "max_len, programs, longest", ((6, 66, 3), (8, 527, 5), (10, 4175, 7), (12, 32835, 9))
+)
+def test_longest_halting_canonical_run(max_len, programs, longest):
+    # the measured maxima of ROADMAP item 12 (L = 14 is left out for
+    # time): every canonical program halts, having read all of itself
+    runs = [(p, machine.run(p, 200, machine.LAZY)) for p, _ in prior._walk(max_len, 200, prior.T3)]
+    assert len(runs) == programs
+    assert all(r.halted and r.consumed == len(p) for p, r in runs)
+    assert max(r.steps for _, r in runs) == longest
+
+
 # every string of up to four symbols, as the lazy walk's targets
 UP_TO_4 = [t for n in range(5) for t in itertools.product((0, 1, 2), repeat=n)]
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from omni import ssa
 from omni.ssa import (
     ACTIONS,
-    Policy,
     StackEntry,
     SwitchingBandit,
     apply_pla,
@@ -27,10 +26,15 @@ def test_action_set_is_closed_and_ordered():
     assert ACTIONS[5] == "up:arm0" and ACTIONS[10] == "down:arm0"
 
 
+def _uniform():
+    """The policy run_learner starts from: one uniform vector, in state B."""
+    return {"B": [1.0 / 15] * 15}
+
+
 def test_uniform_policy():
-    p = Policy.uniform()
-    vec = p.vectors["B"]
-    assert len(vec) == 15 and sum(vec) == pytest.approx(1.0, abs=1e-12)
+    start = uniform_baseline(SwitchingBandit(10), 1, seed=0).final_policy
+    assert start == _uniform()
+    assert sum(start["B"]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_floor_renormalize_pins_and_scales():
@@ -43,40 +47,40 @@ def test_floor_renormalize_pins_and_scales():
 
 def test_apply_pla_doubling_ladder():
     # 2^k / (2^k + 14) crosses 0.9 exactly at k = 7
-    p = Policy.uniform()
+    p = _uniform()
     for _ in range(6):
         apply_pla(p, "B", "arm0", 2.0)
-    assert p.vectors["B"][0] < 0.9
+    assert p["B"][0] < 0.9
     apply_pla(p, "B", "arm0", 2.0)
-    assert p.vectors["B"][0] >= 0.9
-    assert sum(p.vectors["B"]) == pytest.approx(1.0, abs=1e-9)
+    assert p["B"][0] >= 0.9
+    assert sum(p["B"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_apply_pla_clamps_gamma():
-    a, b = Policy.uniform(), Policy.uniform()
+    a, b = _uniform(), _uniform()
     apply_pla(a, "B", "wait", 100.0)
     apply_pla(b, "B", "wait", 4.0)
-    assert a.vectors["B"] == b.vectors["B"]
+    assert a["B"] == b["B"]
 
 
 @given(st.lists(st.tuples(st.integers(0, 14), st.floats(0.25, 4.0)), max_size=25))
 @settings(max_examples=150)
 def test_pla_rollback_is_bit_identical(edits):
-    p = Policy.uniform()
-    before = Policy.uniform().vectors
+    p = _uniform()
+    before = _uniform()
     saved = [apply_pla(p, "B", ACTIONS[i], g) for i, g in edits]
     for vec in reversed(saved):
-        p.vectors["B"] = vec
-    assert p.vectors == before
+        p["B"] = vec
+    assert p == before
 
 
 @given(st.lists(st.tuples(st.integers(0, 14), st.floats(0.25, 4.0)), min_size=1, max_size=25))
 @settings(max_examples=150)
 def test_pla_keeps_vector_a_distribution(edits):
-    p = Policy.uniform()
+    p = _uniform()
     for i, g in edits:
         apply_pla(p, "B", ACTIONS[i], g)
-    vec = p.vectors["B"]
+    vec = p["B"]
     assert sum(vec) == pytest.approx(1.0, abs=1e-9)
     assert min(vec) >= ssa.PROB_FLOOR - 1e-15
 
@@ -92,23 +96,40 @@ def test_ssc_holds_chain_rules():
 
 
 def test_ssc_evaluate_pops_and_restores():
-    policy = Policy.uniform()
-    p0 = Policy.uniform().vectors
+    policy = _uniform()
+    p0 = _uniform()
     e1 = StackEntry(2, 2.0)  # rate since 2 would need > (R-2)/(t-2)
     e1.modifications.append(("B", apply_pla(policy, "B", "arm1", 2.0)))
-    e1.e = 3
     e2 = StackEntry(4, 2.0)
     e2.modifications.append(("B", apply_pla(policy, "B", "arm1", 2.0)))
-    e2.e = 5
     stack = [e1, e2]
     # no reward since either checkpoint: both must fall
     popped = ssc_evaluate(stack, 10, 2.0, policy)
     assert popped == 2 and stack == []
-    assert policy.vectors == p0
+    assert policy == p0
+
+
+def test_ssc_evaluate_restores_every_state_it_edited():
+    # edits to B and C interleaved under one checkpoint: the pop restores
+    # each vector to its own pre-checkpoint floats (== on floats that are
+    # never NaN is bit for bit)
+    policy = {"B": _uniform()["B"], "C": floor_renormalize([k + 1.0 for k in range(15)])}
+    before = {s: list(v) for s, v in policy.items()}
+    entry = StackEntry(2, 2.0)
+    for state, action, gamma in (
+        ("B", "arm0", 2.0), ("C", "arm1", 0.5), ("B", "wait", 4.0),
+        ("C", "arm1", 3.0), ("C", "arm0", 2.0), ("B", "arm0", 0.25),
+    ):
+        entry.modifications.append((state, apply_pla(policy, state, action, gamma)))
+    assert policy["B"] != before["B"] and policy["C"] != before["C"]
+    stack = [entry]
+    # no reward since the checkpoint: it falls
+    assert ssc_evaluate(stack, 10, 2.0, policy) == 1 and stack == []
+    assert policy == before
 
 
 def test_ssc_evaluate_keeps_earning_checkpoints():
-    policy = Policy.uniform()
+    policy = _uniform()
     stack = [StackEntry(2, 1.0), StackEntry(6, 2.0)]
     popped = ssc_evaluate(stack, 10, 6.0, policy)
     # 0.6 < 5/8 < 1.0 holds, nothing pops
@@ -165,7 +186,7 @@ def test_unrecorded_trace_has_no_rows():
 
 def test_baseline_never_learns():
     tr = uniform_baseline(SwitchingBandit(100), 5000, seed=0)
-    assert tr.final_policy == Policy.uniform().vectors
+    assert tr.final_policy == _uniform()
     assert tr.story == [] and tr.pops == 0
     # expected reward 1/15; 5 sigma at 5000 steps is ~0.018
     assert abs(tr.mean_reward - 1 / 15) < 0.02
@@ -194,7 +215,7 @@ def _mid(vec, i):
 
 def test_draw_at_a_partial_sum_takes_the_next_action(monkeypatch):
     # the scan's test is r < cum[i], so r == cum[i] moves on to i + 1
-    row = list(accumulate(Policy.uniform().vectors["B"]))
+    row = list(accumulate(_uniform()["B"]))
     tr = _scripted(monkeypatch, [0.0, *row[:-1]], learn=False)
     assert tr.actions == list(range(15))
 
@@ -202,12 +223,12 @@ def test_draw_at_a_partial_sum_takes_the_next_action(monkeypatch):
 def test_draw_past_the_last_sum_takes_the_last_action(monkeypatch):
     # after up:arm0 and down:arm1 the row ends below 1; a draw at or above
     # its last sum falls through to the last action, as the scan did
-    policy, draws = Policy.uniform(), []
-    draws.append(_mid(policy.vectors["B"], ACTIONS.index("begin_pmp")))
+    policy, draws = _uniform(), []
+    draws.append(_mid(policy["B"], ACTIONS.index("begin_pmp")))
     for action, target, gamma in (("up:arm0", "arm0", 2.0), ("down:arm1", "arm1", 0.5)):
-        draws.append(_mid(policy.vectors["B"], ACTIONS.index(action)))
+        draws.append(_mid(policy["B"], ACTIONS.index(action)))
         apply_pla(policy, "B", target, gamma)
-    last_sum = list(accumulate(policy.vectors["B"]))[-1]
+    last_sum = list(accumulate(policy["B"]))[-1]
     assert last_sum < 1.0
     for r in (last_sum, (last_sum + 1.0) / 2):
         tr = _scripted(monkeypatch, [*draws, r])
@@ -218,14 +239,14 @@ def test_first_draw_after_a_pop_reads_the_restored_row(monkeypatch):
     # begin, three up:arm0 edits, then an end with no reward since the
     # checkpoint: the pop restores the uniform vector, and the next draw
     # must read its row, not the edited one
-    policy, draws = Policy.uniform(), []
-    draws.append(_mid(policy.vectors["B"], ACTIONS.index("begin_pmp")))
+    policy, draws = _uniform(), []
+    draws.append(_mid(policy["B"], ACTIONS.index("begin_pmp")))
     for _ in range(3):
-        draws.append(_mid(policy.vectors["B"], ACTIONS.index("up:arm0")))
+        draws.append(_mid(policy["B"], ACTIONS.index("up:arm0")))
         apply_pla(policy, "B", "arm0", 2.0)
-    draws.append(_mid(policy.vectors["B"], ACTIONS.index("end_pmp")))
-    stale = list(accumulate(policy.vectors["B"]))
-    restored = list(accumulate(Policy.uniform().vectors["B"]))
+    draws.append(_mid(policy["B"], ACTIONS.index("end_pmp")))
+    stale = list(accumulate(policy["B"]))
+    restored = list(accumulate(_uniform()["B"]))
     r = 0.3
     assert next(i for i, c in enumerate(stale) if r < c) == 0
     assert next(i for i, c in enumerate(restored) if r < c) == 4
