@@ -4,33 +4,26 @@ Monte Carlo route: run the machine lazily while filling each tape square on
 first visit with a uniformly random symbol (probability 1/3 each).  The
 fraction of runs that halt within the budget and print the target estimates
 its prior mass from below (runs that would need more steps count as misses).
-Sample i reads a counter-based splitmix64 stream keyed by (seed, i): block
-b is a pure function of the key and b, so no generator is built per sample
-and no sample depends on another.  That holds however the stream is
-computed: _first_blocks mixes and decodes block 1 of a whole batch of
-samples at once, a lane each in one int.  Each guess runs on the walk's
-pruned loop, machine._resume, on a tape that starts as block 1 and gains
-the next block each time the run reaches its end.  It dies at its first
-output symbol past the longest target, at the budget, or on a proven
-cycle or divergence: such a run cannot score, and every sample reads its
-own stream, so stopping one early changes no hit.
+Sample i reads a counter-based splitmix64 stream keyed by (seed, i): block b
+is a pure function of the key and b, so no generator is built per sample and
+no sample depends on another, however the stream is computed: _first_blocks
+mixes block 1 of a batch of samples at once, a lane each in one int, and
+_tapes decodes all lanes in a few passes over it.  Each guess runs on the
+walk's pruned loop, machine._resume, a block at a time, and dies at its
+first output symbol past the longest target, at the budget, or on a proven
+cycle or divergence: such a run cannot score, and every sample reads its own
+stream, so stopping one early changes no hit.
 
 Most samples are decided by their first 8 squares (machine._HEAD_DEPTH says
-why 8).  Each chunk of samples keeps a head memo (_Heads), a dict from
-those squares to the verdict of the lazy run on them alone, with the call's
-budget and cap, that runs a head the first time a sample reads it.  A head
-whose run halts printing a target gives the target's slot, one whose run
-waits at the tape's end having printed a prefix of a target gives that
-suspended state, and any other head gives None, since its run halted
-printing a non-target, printed past the cap or off every target, was
-proven to loop or ran out of budget, and output never shrinks.  Every
+why 8), by each chunk's head memo (_Heads), which runs a head the first
+time a sample reads it.  A head whose run cannot score gives None: it
+halted printing a non-target, printed past the cap or off every target,
+was proven to loop or ran out of budget, and output never shrinks.  Every
 entry is the loop's own run on its key, so the hits are those of running
 every guess from square 0.  A call of 1,000 samples runs about 900 heads;
 one of 150,000 runs all 6,561, in about 5.5 ms.  For the targets "", "0"
 and "1," at B = 200 the memo decides 71% of samples, and a sample costs
-about 0.9 us in all at 150,000 samples, 0.33-0.35 us of it stream (block
-1, mixed and decoded a batch at a time; 0.6 us decoding each alone; 2-core
-host, Python 3.11).
+about 1.2 us in all, 0.33 us of it block 1 (2-core host, Python 3.11).
 
 Enumeration route: sum (1/3)^|p| over every canonical program p up to a
 length cap whose output is the target, in one tape-tree walk (_walk) that
@@ -45,6 +38,7 @@ from __future__ import annotations
 
 import math
 import os
+from binascii import hexlify
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,11 +55,11 @@ _MIX3 = 0x94D049BB133111EB
 _U64 = (1 << 64) - 1
 _RNG = "splitmix64"  # the sample stream, named in every Monte Carlo report
 
-# Samples whose block 1 _first_blocks mixes and decodes in one int of 64 KB.
-# Over 150,000 samples (2-core host, Python 3.11) that costs 0.32 us per
-# sample at 1,024-4,096, 0.33 at 256 and 16,384, 0.38-0.40 at 64 and 65,536:
-# small batches repeat the per-batch work, large ones outgrow cache.
-_BATCH = 4096
+# Samples whose block 1 _first_blocks mixes and decodes in one int of 16 KB.
+# Over 150,000 samples (2-core host, Python 3.11) that costs 0.33 us per
+# sample at 1,024, 0.35 at 512-4,096, 0.37 at 256 and 0.42 at 16,384; the
+# traced peak of the decode grows with the batch: 313 KiB here, 1,249 at 4,096.
+_BATCH = 1024
 
 
 def sample_seed(seed: int, index: int) -> int:
@@ -83,19 +77,30 @@ def mix64(z: int) -> int:
     return z ^ z >> 31
 
 
-# Symbols in one byte of stream bits, read as four 2-bit slices from the
-# low bits up, with the fourth pattern (3) rejected.  bytes, not tuples: the
-# table is smaller and a block's symbols join into one bytes object.
-_BYTE_SYMBOLS = [
-    bytes(v for v in (i & 3, i >> 2 & 3, i >> 4 & 3, i >> 6) if v != 3)
-    for i in range(256)
-]
+# _tapes' masks on one 128-bit lane, in the order it names them
+_PATTERNS = ("00000000ffffffff", "0000ffff", "00ff", "0f", "30", "03")  # each repeated
+_MASKS = (_U64, *(int(p * (32 // len(p)), 16) for p in _PATTERNS))
+_HEX = bytes.maketrans(b"012", b"\0\1\2")  # digit 3, pattern 3, is deleted
+
+
+def _tapes(z: int, n: int, masks) -> list[bytes]:
+    """The tapes of the 64-bit blocks at bits 128 j of z, j < n, whatever
+    lies above each (masks: ones * m for m in _MASKS, ones 1 at each bit
+    128 j): passes over z put a block's 2-bit slices 2b and 2b + 1 in byte
+    b's high and low nibble, and its hex digits 0-2 become symbols, 3 none."""
+    lane, m32, m16, m8, m4, high, low = masks
+    z &= lane
+    z = (z | z << 32) & m32
+    z = (z | z << 16) & m16
+    z = (z | z << 8) & m8
+    z = (z | z << 4) & m4
+    z = z << 4 & high | z >> 2 & low
+    return hexlify(z.to_bytes(16 * n, "little"), b"|", 16).translate(_HEX, b"3").split(b"|")
 
 
 def _block_symbols(block: int) -> bytes:
-    """Symbols in a 64-bit block: its 32 2-bit slices, low bits first,
-    with pattern 3 rejected."""
-    return b"".join(map(_BYTE_SYMBOLS.__getitem__, block.to_bytes(8, "little")))
+    """Symbols in a 64-bit block: _tapes' one-lane case."""
+    return _tapes(block, 1, _MASKS)[0]
 
 
 def _wilson_upper(hits: int, n: int) -> float:
@@ -160,22 +165,18 @@ class _Heads(dict):
 
 
 def _first_blocks(seed, lo, hi):
-    """Yield the tape of block 1, mix64(mix64(sample_seed(seed, i)) +
-    gamma), as _block_symbols gives it, of samples i = lo..hi-1, up to
-    _BATCH at a time in one int (a short last batch in only as many lanes
-    as it has samples): sample start + j holds sample_seed(seed,
-    start) + j * _MIX2 mod 2^64 in the lane at bit 128 j, masked to 64 bits
-    before each multiply, so each product stays in its lane.  Byte b of
-    every lane, little-endian on any host, is one strided slice of the
-    int's bytes; each lane's eight bytes decode and join in C-level maps."""
+    """Yield block 1's tape, mix64(mix64(sample_seed(seed, i)) + gamma), of
+    samples i = lo..hi-1, _BATCH (a short last batch fewer) at a time: sample
+    start + j holds sample_seed(seed, start) + j * _MIX2 mod 2^64 at bit 128 j
+    of one int, masked to 64 bits before each multiply to keep it in its lane."""
     ones, index, n = 1, 0, 1  # lane j of ones holds 1, lane j of index j
     while n < min(_BATCH, hi - lo):
         index |= (index + n * ones) << 128 * n
         ones |= ones << 128 * n
         n *= 2
-    mask = ones * _U64
+    masks = [ones * m for m in _MASKS]
+    mask = masks[0]
     step, gamma = index * _MIX2 & mask, ones * _MIX1
-    symbols = _BYTE_SYMBOLS.__getitem__
     for start in range(lo, hi, n):
         if hi - start < n:  # the last batch is short: mix only its lanes
             n = hi - start
@@ -187,8 +188,7 @@ def _first_blocks(seed, lo, hi):
             z = ((z ^ z >> 30) & mask) * _MIX2 & mask
             z = ((z ^ z >> 27) & mask) * _MIX3 & mask
             z ^= z >> 31
-        raw = z.to_bytes(16 * n, "little")
-        yield from map(b"".join, zip(*(map(symbols, raw[b::16]) for b in range(8))))
+        yield from _tapes(z, n, masks)
 
 
 def _mc_chunk(targets, budget, seed, bounds):

@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference_machine import canonicalize_witness, reference_run, slot_symbols, trinary_source
+from reference_machine import (
+    canonicalize_witness,
+    reference_run,
+    slot_symbols,
+    stream_block,
+    trinary_source,
+)
 
 from omni import complexity, machine, prior
 from omni.prior import (
@@ -284,9 +290,65 @@ def test_mc_reports_a_wilson_upper_bound():
     assert est.to_json()["rng"] == "splitmix64"
 
 
-def test_byte_table_equals_per_slot_reading():
-    for i in range(256):
-        assert list(prior._BYTE_SYMBOLS[i]) == slot_symbols(i, 4), i
+def test_block_symbols_read_every_byte_at_every_position():
+    # each byte value alone at each of a block's 8 byte positions, and in
+    # all of them at once
+    for b in range(8):
+        for i in range(256):
+            for block in (i << 8 * b, i * 0x0101010101010101):
+                assert list(prior._block_symbols(block)) == slot_symbols(block, 32), block
+
+
+def test_packed_decode_ignores_the_lane_above_each_block():
+    # chosen blocks, one per 128-bit lane, beside all-ones and all-zeros
+    # neighbours, in an int as _first_blocks' last xor-shift leaves it: z ^=
+    # z >> 31 on lanes that each held the block's inverse under that shift
+    # puts each block in its lane's low 64 bits, and lane j + 1's low bits
+    # in lane j's bits 97-127.  _tapes must mask them off before it spreads
+    # the slices, and must ignore upper halves that are all ones as well
+    full = (1 << 64) - 1
+    for v in (0, full, 1 << 62, 3 << 62, 0b111111 << 58):
+        for blocks in ([full, v, 0], [0, v, full], [full, v, full, v], [v, 0, v, full]):
+            n = len(blocks)
+            ones = sum(1 << 128 * j for j in range(n))
+            pre = sum((x ^ x >> 31 ^ x >> 62) << 128 * j for j, x in enumerate(blocks))
+            want = [bytes(slot_symbols(x, 32)) for x in blocks]
+            masks = [ones * m for m in prior._MASKS]
+            for z in (pre ^ pre >> 31, (pre ^ pre >> 31) & ones * full | ones * (full << 64)):
+                assert prior._tapes(z, n, masks) == want, (blocks, hex(z))
+
+
+@pytest.mark.parametrize("batch", (1, 3, 64, 1024, 4096))
+def test_tapes_and_hits_do_not_depend_on_the_batch_size(monkeypatch, batch):
+    # a batch of 3 mixes 4 lanes (batches grow in powers of two); every
+    # range crosses a batch edge at some size, and the tapes are those of
+    # the reference's stream whatever the size
+    monkeypatch.setattr(prior, "_BATCH", batch)
+    targets = ["", "0", "1,"]
+    for lo, hi in ((0, 1), (1023, 1026), (3, 4100), (4095, 8200)):
+        want = [bytes(slot_symbols(stream_block(7, i, 1), 32)) for i in range(lo, hi)]
+        assert list(prior._first_blocks(7, lo, hi)) == want, (lo, hi)
+    # samples 3..4099 score the same at every batch size
+    assert prior._mc_chunk(targets, 200, 7, (3, 4100)) == [962, 243, 52]
+
+
+def test_draining_first_blocks_holds_one_batch():
+    # the tapes of one batch live at a time: draining 8 batches and 64
+    # batches peaks the same, and below 512 KiB at this _BATCH, so the
+    # decode does not raise a run's resident memory
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for _ in prior._first_blocks(3, 0, samples):
+                pass
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    few, many = peak(8 * prior._BATCH), peak(64 * prior._BATCH)
+    assert abs(many - few) <= 4096, (few, many)
+    assert many < 512 * 1024, many
 
 
 def test_block_split_equals_per_slot_reading():

@@ -426,10 +426,10 @@ def test_mc_scorer_matches_reference_on_seeded_samples(budget):
 @pytest.mark.parametrize("seed", (0, 77, 2**64 - 1, -1, 10**30))
 def test_packed_first_blocks_match_reference(seed):
     # _first_blocks mixes block 1 of a batch of samples in one int, one
-    # 128-bit lane per sample, and decodes every lane from strided slices
-    # of its bytes: each tape must be the symbols of the reference's block
-    # 1 of its sample, for one sample, across a batch edge, and over two
-    # full batches and a partial third
+    # 128-bit lane per sample, and decodes all lanes in passes over that
+    # int: each tape must be the symbols of the reference's block 1 of its
+    # sample, for one sample, across a batch edge, and over two full
+    # batches and a partial third
     n = prior._BATCH
     for lo, hi in ((0, 1), (n - 1, n + 1), (5, 2 * n + 7)):
         want = [bytes(slot_symbols(stream_block(seed, i, 1), 32)) for i in range(lo, hi)]
@@ -439,7 +439,7 @@ def test_packed_first_blocks_match_reference(seed):
 @pytest.mark.parametrize("seed", (0, 2**64 - 1))
 def test_first_blocks_short_last_batch_matches_reference(seed):
     # a range that ends in a short batch mixes only that batch's lanes:
-    # 4,096 + 5 samples, and fewer samples than one batch of 8 lanes
+    # _BATCH + 5 samples, and fewer samples than one batch of 8 lanes
     n = prior._BATCH
     for lo, hi in ((0, n + 5), (3, 8)):
         want = [bytes(slot_symbols(stream_block(seed, i, 1), 32)) for i in range(lo, hi)]
